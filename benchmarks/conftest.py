@@ -10,7 +10,9 @@ Perf trajectory: the ``record_benchmark`` fixture appends machine-readable
 ``{name, value, unit, commit}`` rows to ``BENCH_perf.json`` at the repo
 root.  The guard benchmarks (sparse speedup, serving throughput, search
 speedup) record their headline numbers there, so ``make bench`` leaves a
-commit-stamped perf history behind.
+commit-stamped perf history behind.  Only rows of tests that passed are
+written: a benchmark records before it asserts, so a failing run's
+numbers never reach the trajectory.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import List, Set, Tuple
 
 import pytest
 
@@ -58,9 +61,22 @@ def run_once(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1, warmup_rounds=0)
 
 
-@pytest.fixture(scope="session")
-def record_benchmark():
-    """Session-scoped recorder appending rows to ``BENCH_perf.json``.
+#: ``(nodeid, row)`` per recorded row, flushed at session end
+_ROWS: List[Tuple[str, dict]] = []
+#: tests that failed in setup, call or teardown
+_FAILED: Set[str] = set()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = (yield).get_result()
+    if report.failed:
+        _FAILED.add(item.nodeid)
+
+
+@pytest.fixture()
+def record_benchmark(request):
+    """Recorder for perf rows of the requesting test.
 
     Usage inside a benchmark test::
 
@@ -68,22 +84,26 @@ def record_benchmark():
             ...
             record_benchmark("sparse_speedup", result["speedup"], "x")
 
-    Rows are buffered and flushed once at session end, merged with the
-    rows already on disk via :func:`repro.perf.recording.merge_bench_rows`
-    so repeated ``make bench`` runs accumulate a trajectory.  The merge
-    is idempotent per ``(name, commit)``, and a re-record at a *clean*
+    Rows are tagged with the test's nodeid and buffered; at session end
+    the rows of tests that passed are merged with the rows already on
+    disk via :func:`repro.perf.recording.merge_bench_rows`, so repeated
+    ``make bench`` runs accumulate a trajectory.  The merge is
+    idempotent per ``(name, commit)``, and a re-record at a *clean*
     commit evicts any provisional ``-dirty`` rows of the same benchmark
     — only moving to a new clean commit grows the trajectory.
     """
-    rows = []
     commit = current_commit(BENCH_PATH.parent)
 
     def record(name: str, value: float, unit: str) -> None:
-        rows.append({"name": str(name), "value": float(value),
-                     "unit": str(unit), "commit": commit})
+        _ROWS.append((request.node.nodeid,
+                      {"name": str(name), "value": float(value),
+                       "unit": str(unit), "commit": commit}))
 
-    yield record
+    return record
 
+
+def pytest_sessionfinish(session, exitstatus):
+    rows = [row for nodeid, row in _ROWS if nodeid not in _FAILED]
     if not rows:
         return
     existing = []

@@ -190,6 +190,13 @@ def validate_trace(path: Path) -> None:
           "each traced /predict chains http_request → batch under one "
           "trace id")
 
+    # a slow write can be explained by the size of its forward
+    onboards = [span for span in spans if span["name"] == "onboard"]
+    check(len(onboards) == 1
+          and onboards[0]["attrs"].get("view_nodes", 0) > 0
+          and onboards[0]["attrs"].get("view_edges", 0) > 0,
+          "the onboard span reports the size of its receptive field")
+
 
 def main() -> int:
     TRACE_OUT.unlink(missing_ok=True)

@@ -15,15 +15,17 @@ that lift that assumption:
   style): starting from a batch of seed nodes it draws up to ``fanout``
   in-neighbors per node *per relation* for ``num_layers`` hops, so the
   view size is bounded by ``B · (1 + Σ_l (R · fanout)^l)`` regardless of
-  ``N``.  The per-relation destination-indexed CSR lists it samples from
-  live in the graph's existing LRU adjacency cache and survive unrelated
+  ``N``.  ``fanout=None`` keeps every in-neighbor: the view is then the
+  seeds' exact ``num_layers``-hop receptive field (serving-time
+  onboarding runs its forward on it).  The per-relation
+  destination-indexed CSR lists it samples from live in the graph's
+  existing LRU adjacency cache and survive unrelated
   :meth:`~repro.graph.HeteroGraph.append_node` mutations.
 
 A view built by the sampler contains the *sampled* edges only (bounded
 memory); :meth:`GraphView.induced` instead keeps every edge between the
 chosen nodes — the exact-subgraph variant used when a caller wants a
-view over a node set it picked itself (serving-time onboarding samples
-with :class:`NeighborSampler` around the new node).
+view over a node set it picked itself.
 """
 
 from __future__ import annotations
@@ -294,14 +296,15 @@ class NeighborSampler:
         Neighbors to draw per node *per relation* at each hop — an int
         (shared by every relation) or a ``{relation: int}`` mapping
         (missing relations fall back to ``default_fanout``).  A fanout of
-        0 skips a relation entirely.
+        0 skips a relation entirely; ``None`` keeps every in-neighbor
+        (no cap, no randomness: the exact receptive field).
     num_layers:
         Hops to expand (use the model's layer count).
     rng / seed:
         Randomness for subsampling; a fresh default generator otherwise.
     """
 
-    def __init__(self, graph: HeteroGraph, fanout: FanoutSpec = 10,
+    def __init__(self, graph: HeteroGraph, fanout: Optional[FanoutSpec] = 10,
                  num_layers: int = 2,
                  rng: Optional[np.random.Generator] = None,
                  seed: Optional[int] = None) -> None:
@@ -309,7 +312,10 @@ class NeighborSampler:
             raise ValueError("num_layers must be >= 1")
         self.graph = graph
         self.num_layers = int(num_layers)
-        if isinstance(fanout, Mapping):
+        if fanout is None:
+            self._fanout = {}
+            self._default_fanout = None
+        elif isinstance(fanout, Mapping):
             self._fanout = {tuple(rel): int(k) for rel, k in fanout.items()}
             self._default_fanout = 0
         else:
@@ -319,15 +325,19 @@ class NeighborSampler:
             self._default_fanout = int(fanout)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
-    def fanout_of(self, relation: Relation) -> int:
+    def fanout_of(self, relation: Relation) -> Optional[int]:
+        """Per-relation cap (None: every in-neighbor)."""
         return self._fanout.get(tuple(relation), self._default_fanout)
 
     def max_view_nodes(self, batch_size: int) -> int:
         """Worst-case view size for a ``batch_size`` seed batch.
 
         ``B · (1 + Σ_{l=1..L} (Σ_rel fanout_rel)^l)`` — the bound the
-        scale benchmark asserts peak activations against.
+        scale benchmark asserts peak activations against.  Without a cap
+        only the graph size bounds the view.
         """
+        if self._default_fanout is None:
+            return self.graph.num_nodes
         per_hop = sum(self.fanout_of(rel) for rel in self.graph.relations) \
             if self._fanout else self._default_fanout * len(self.graph.relations)
         total = batch_size
@@ -339,14 +349,15 @@ class NeighborSampler:
 
     # ------------------------------------------------------------------
     def _sample_relation(self, relation: Relation, dst_local: np.ndarray,
-                         fanout: int) -> Tuple[np.ndarray, np.ndarray]:
+                         fanout: Optional[int]
+                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Up to ``fanout`` source neighbors per destination node.
 
         Returns ``(src_local, dst_local)`` edge endpoints in parent-local
         ids.  Nodes with at most ``fanout`` in-neighbors keep *all* of
-        them (no replacement, no padding), so a large-enough fanout makes
-        sampling exact.  Fully vectorized: over-fanout nodes are
-        subsampled without replacement by ranking a random key per
+        them (no replacement, no padding), so a large-enough fanout — or
+        ``None`` — makes sampling exact.  Fully vectorized: over-fanout
+        nodes are subsampled without replacement by ranking a random key per
         candidate edge inside each node's span and keeping the ``fanout``
         smallest — no per-node Python loop on the hot path.
         """
@@ -355,7 +366,8 @@ class NeighborSampler:
         spans = indptr[dst_local + 1] - begins
         srcs: List[np.ndarray] = []
         dsts: List[np.ndarray] = []
-        full = spans <= fanout
+        full = (np.ones(spans.shape, dtype=bool) if fanout is None
+                else spans <= fanout)
         if full.any():
             # take every neighbor of low-degree nodes in one gather
             take = spans[full]
@@ -415,7 +427,7 @@ class NeighborSampler:
             new_nodes: List[np.ndarray] = []
             for relation in graph.relations:
                 fanout = self.fanout_of(relation)
-                if fanout <= 0:
+                if fanout is not None and fanout <= 0:
                     continue
                 src_type, _, dst_type = relation
                 members = frontier[type_index[frontier]
@@ -443,15 +455,15 @@ class NeighborSampler:
         node_ids = np.concatenate([seeds, others])
         local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
         local_of[node_ids] = np.arange(node_ids.shape[0], dtype=np.int64)
+        # every node is expanded once, so no edge is drawn twice (parallel
+        # edges of the parent stay parallel); parent relation order keeps
+        # each destination's in-edges in the full graph's summation order
         edges: Dict[Relation, np.ndarray] = {}
-        for relation, chunks in edge_acc.items():
-            pairs = np.concatenate(chunks, axis=1)
-            # dedupe edges drawn at several hops
-            keys = pairs[0] * np.int64(graph.num_nodes) + pairs[1]
-            _, unique = np.unique(keys, return_index=True)
-            pairs = pairs[:, np.sort(unique)]
-            edges[relation] = np.stack([local_of[pairs[0]],
-                                        local_of[pairs[1]]])
+        for relation in graph.relations:
+            if relation in edge_acc:
+                pairs = np.concatenate(edge_acc[relation], axis=1)
+                edges[relation] = np.stack([local_of[pairs[0]],
+                                            local_of[pairs[1]]])
         return GraphView(graph, node_ids, seeds, edges)
 
     def sample_type(self, node_type: str,

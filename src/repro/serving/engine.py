@@ -51,10 +51,11 @@ from .wal import OnboardWAL, WalReplayError
 class EngineConfig:
     """Serving knobs."""
 
-    #: per-relation fan-out for onboarding forwards: when set (and the
-    #: bundled backbone supports sampling) a new node's prediction is
-    #: computed on its sampled neighborhood view instead of a full pass
-    #: over the updated graph — the O(neighborhood) onboarding path
+    #: optional per-relation cap on the in-neighbours an onboarding
+    #: forward keeps (backbones with ``supports_sampling``).  None, the
+    #: default, keeps every one: the new node's exact receptive field,
+    #: whose answer equals a full forward over the updated graph; a cap
+    #: trades that exactness for a bounded view on high-degree nodes
     onboard_fanout: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -240,7 +241,7 @@ class InferenceEngine:
         with self._lock:
             if self._onboarding is None:
                 self._onboarding = OnboardingManager(
-                    self.bundle, self.dataset, self._h0,
+                    self.bundle, self.dataset, self._h0, self.model,
                     fanout=self.config.onboard_fanout,
                     registry=self.metrics, tracer=self.tracer)
             fault_site("onboard.apply", key=node_type)

@@ -31,9 +31,9 @@ path.  The flow:
 
 HTTP parsing is a minimal hand-rolled HTTP/1.1 (request line, headers,
 ``Content-Length`` bodies, keep-alive; a ``Content-Length`` that is not a
-non-negative integer answers 400 and closes) — the stdlib's blocking server
-cannot sit on an asyncio loop, and the tier's protocol needs nothing
-more.
+non-negative integer answers 400 and closes, a ``Transfer-Encoding``
+request 501 and closes) — the stdlib's blocking server cannot sit on an
+asyncio loop, and the tier's protocol needs nothing more.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from .admission import Deadline, ShedError
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            500: "Internal Server Error", 503: "Service Unavailable",
-            504: "Gateway Timeout"}
+            500: "Internal Server Error", 501: "Not Implemented",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
 
 _KNOWN_PATHS = ("/healthz", "/readyz", "/stats", "/metrics",
                 "/predict", "/onboard")
@@ -752,7 +752,12 @@ class TierFrontend:
                 path = target.split("?", 1)[0]
                 started = time.perf_counter()
                 # a refused body is never read, so the connection closes
-                if not raw_length.isdecimal():
+                if "transfer-encoding" in headers:
+                    status, body, content_type, extra = (
+                        501, json.dumps({"error": "Transfer-Encoding is "
+                                                  "not supported"}).encode(),
+                        "application/json", {"Connection": "close"})
+                elif not raw_length.isdecimal():
                     status, body, content_type, extra = (
                         400, json.dumps({"error": "Content-Length must be "
                                                   "a non-negative integer"}

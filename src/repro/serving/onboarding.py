@@ -14,8 +14,16 @@ module implements that path on top of a loaded bundle:
    cluster's *searched* completion op is run inductively to synthesize
    its attribute (``one_hot``, the only non-inductive op, falls back to
    the cluster centroid of the bundle's completed attributes);
-3. one forward on the updated graph (existing rows of ``h0`` frozen)
-   yields the node's prediction/embedding, which is stored in an overlay.
+3. one forward (existing rows of ``h0`` frozen) yields the node's
+   prediction/embedding, which is stored in an overlay.  Message passing
+   is L layers deep, so the node's output depends only on its L-hop
+   in-neighbourhood: backbones that accept a view (``supports_sampling``)
+   run the serving model as loaded on exactly that receptive field, with
+   every in-neighbour kept.  View operators take their coefficients from
+   the updated graph, so the answer is the full forward's.
+   ``onboard_fanout`` optionally caps the in-neighbours per relation (an
+   approximation).  Other backbones are rebuilt over the updated graph
+   and run one full forward, their only path.
 
 Pre-existing nodes keep being served from the *base* state, so onboarding
 never changes an existing answer; the overlay is folded into ground truth
@@ -35,7 +43,7 @@ from ..completion import build_op
 from ..datasets import HeteroDataset
 from ..graph import Relation
 from ..graph.sampler import NeighborSampler
-from ..models import build_model
+from ..models import BaseHGNN, build_model
 from ..telemetry import MetricsRegistry, Tracer
 from ..tensor import Tensor, no_grad
 from .artifact import ModelBundle
@@ -144,15 +152,17 @@ class OnboardingManager:
     """Owns the mutable serving-side graph and the onboarded-node overlay."""
 
     def __init__(self, bundle: ModelBundle, base_dataset: HeteroDataset,
-                 base_h0: np.ndarray,
+                 base_h0: np.ndarray, model: BaseHGNN,
                  fanout: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.bundle = bundle
         self.base = base_dataset
-        #: when set (and the backbone supports sampling), the onboarding
-        #: forward runs on a sampled neighborhood view around the new node
-        #: instead of the whole updated graph
+        #: the serving model (eval mode); view-capable backbones run it as
+        #: is on the new node's receptive field
+        self.model = model
+        #: optional per-relation cap on the in-neighbours of that view
+        #: (None keeps every one: exact)
         self._fanout = fanout
         # the engine hands down its private registry/tracer so onboarding
         # shows up in the same /metrics scrape and trace stream
@@ -263,8 +273,9 @@ class OnboardingManager:
         weight = self.bundle.features_state[f"ops.{op_index}.weight"]
         return np.asarray(op._base[row] @ weight)
 
-    def _updated_model(self, dataset: HeteroDataset):
-        """The bundle's backbone rebuilt over the updated graph."""
+    def _updated_model(self, dataset: HeteroDataset) -> BaseHGNN:
+        """The bundle's backbone rebuilt over the updated graph (for
+        backbones that cannot run on a view)."""
         try:
             model = build_model(self.bundle.model_name, dataset,
                                 hidden_dim=self.bundle.hidden_dim,
@@ -283,9 +294,9 @@ class OnboardingManager:
                 raw_features=None) -> OnboardResult:
         """Append one node, synthesize its attribute, freeze its result."""
         start = time.perf_counter()
-        with self.tracer.span("onboard", node_type=node_type):
+        with self.tracer.span("onboard", node_type=node_type) as span:
             try:
-                result = self._onboard(node_type, edges, raw_features)
+                result = self._onboard(node_type, edges, raw_features, span)
             except Exception:
                 # the rollback in _onboard already ran; count the attempt
                 self._m_failures.inc(node_type=node_type)
@@ -295,8 +306,46 @@ class OnboardingManager:
         self._m_overlay.set(len(self._results))
         return result
 
+    def _encode_new_node(self, dataset: HeteroDataset, node_type: str,
+                         new_local: int, gid: int, h0_updated: np.ndarray,
+                         span) -> Tuple[Optional[np.ndarray],
+                                        Optional[np.ndarray]]:
+        """``(logits_row, embedding)`` of the new node.
+
+        Sets ``view_nodes``/``view_edges`` on the ``onboard`` span: the
+        receptive field's size, or the whole graph's on the full path.
+        """
+        graph = dataset.graph
+        target = node_type == dataset.target_type
+        with no_grad():
+            if self.model.supports_sampling:
+                # seeded by the global id, so a capped (random) view is
+                # the same on a retry or a WAL replay
+                view = NeighborSampler(
+                    graph, fanout=self._fanout,
+                    num_layers=getattr(self.model, "num_layers", 2),
+                    seed=gid).sample(np.array([gid], dtype=np.int64))
+                span.set(view_nodes=view.num_nodes,
+                         view_edges=view.num_edges())
+                encoded = self.model.encode(
+                    Tensor(h0_updated[view.node_ids]), view=view)
+                rows, model = encoded[view.seed_local], self.model
+            else:
+                span.set(view_nodes=graph.num_nodes,
+                         view_edges=graph.num_edges())
+                model = self._updated_model(dataset)
+                encoded = model.encode(Tensor(h0_updated))
+                if not (model.full_graph or target):
+                    return None, None  # only the target type is embedded
+                rows = encoded[np.array([gid if model.full_graph
+                                         else new_local])]
+            embedding = np.asarray(rows.data[0]).copy()
+            logits_row = (np.asarray(model.classifier(rows).data[0]).copy()
+                          if target else None)
+        return logits_row, embedding
+
     def _onboard(self, node_type: str, edges: EdgeSpec,
-                 raw_features=None) -> OnboardResult:
+                 raw_features, span) -> OnboardResult:
         dataset = self._mutable_dataset()
         graph = dataset.graph
         if node_type not in graph.node_types:
@@ -322,8 +371,8 @@ class OnboardingManager:
                     f"raw feature dim {raw.shape[0]} != {raw_dim} "
                     f"for type {node_type!r}")
 
-        # everything past this point must be atomic: a failure (most
-        # commonly a backbone with node-count-dependent parameters that
+        # everything past this point must be atomic: a failure (e.g. a
+        # full-forward backbone with node-count-dependent parameters that
         # cannot be rebuilt inductively) rolls the graph/features/labels
         # back so retried onboards cannot grow ghost state
         old_features = dataset.features[node_type]
@@ -354,42 +403,9 @@ class OnboardingManager:
 
             h0_updated = np.insert(self._h0, gid, h0_row, axis=0)
 
-            model = self._updated_model(dataset)
-            logits_row = prediction = label = embedding = None
-            sampled = (self._fanout is not None
-                       and getattr(model, "supports_sampling", False))
-            with no_grad():
-                if sampled:
-                    # /predict on a fresh node touches only its sampled
-                    # neighborhood: one bounded view forward, not a pass
-                    # over the whole updated graph.  Seeded by the node's
-                    # global id so a retried onboard is deterministic.
-                    sampler = NeighborSampler(
-                        graph, fanout=self._fanout,
-                        num_layers=getattr(model, "num_layers", 2),
-                        seed=int(gid))
-                    view = sampler.sample(np.array([gid], dtype=np.int64))
-                    encoded = model.encode(
-                        Tensor(h0_updated[view.node_ids]), view=view)
-                    embedding = np.asarray(encoded.data[0]).copy()
-                    if node_type == dataset.target_type:
-                        logits_row = np.asarray(
-                            model.classifier(
-                                encoded[view.seed_local]).data[0]).copy()
-                else:
-                    encoded = model.encode(Tensor(h0_updated))
-                    if getattr(model, "full_graph", False):
-                        target_ids = graph.global_ids(dataset.target_type)
-                        logits = model.classifier(encoded[target_ids])
-                        embedding = np.asarray(encoded.data[gid]).copy()
-                    else:
-                        logits = model.classifier(encoded)
-                        if node_type == dataset.target_type:
-                            embedding = np.asarray(
-                                encoded.data[new_local]).copy()
-                    if node_type == dataset.target_type:
-                        logits_row = np.asarray(
-                            logits.data[new_local]).copy()
+            logits_row, embedding = self._encode_new_node(
+                dataset, node_type, new_local, gid, h0_updated, span)
+            prediction = label = None
             if logits_row is not None:
                 prediction = int(np.argmax(logits_row))
                 label = self.bundle.label_names[prediction]

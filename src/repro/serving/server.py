@@ -75,10 +75,12 @@ class ServerConfig:
     bounds apply to POSTs only — health/metrics stay answerable under
     overload, which is exactly when an orchestrator needs them.
     ``max_body_bytes`` rejects oversized payloads with **413** before a
-    byte of the body is read.  The breaker settings guard ``/onboard``
-    (the state-mutating path): after ``breaker_failures`` consecutive
-    onboard errors the endpoint fails fast with **503** until a
-    ``breaker_cooldown_s`` probe succeeds.
+    byte of the body is read.  Bodies must come with ``Content-Length``:
+    a ``Transfer-Encoding`` request answers **501** and closes, so its
+    unread body is never parsed as the next request.  The breaker
+    settings guard ``/onboard`` (the state-mutating path): after
+    ``breaker_failures`` consecutive onboard errors the endpoint fails
+    fast with **503** until a ``breaker_cooldown_s`` probe succeeds.
     """
 
     deadline_ms: Optional[float] = None
@@ -286,7 +288,11 @@ def make_handler(engine: InferenceEngine,
                                     path=self.path) as span:
                 self._trace_id = span.trace_id
                 try:
-                    if method == "GET":
+                    if self.headers.get("Transfer-Encoding") is not None:
+                        self._reply(501, {"error": "Transfer-Encoding is "
+                                                   "not supported"},
+                                    extra_headers={"Connection": "close"})
+                    elif method == "GET":
                         self._dispatch_get()
                     else:
                         self._dispatch_post()

@@ -7,13 +7,20 @@ dirty rows as provisional: superseded by a clean re-record of the same
 benchmark, but kept while no clean measurement exists.
 """
 
+import json
 import subprocess
+from pathlib import Path
 
 from repro.perf.recording import (
     current_commit,
     is_dirty_commit,
     merge_bench_rows,
 )
+
+pytest_plugins = ["pytester"]
+
+BENCH_CONFTEST = (Path(__file__).resolve().parent.parent / "benchmarks"
+                  / "conftest.py")
 
 
 def row(name, commit, value=1.0, unit="x"):
@@ -102,3 +109,41 @@ class TestCommitStamp:
 
     def test_current_commit_outside_git_is_unknown(self, tmp_path):
         assert current_commit(tmp_path) == "unknown"
+
+
+class TestRecordingPolicy:
+    """``record_benchmark`` flushes only the rows of tests that passed."""
+
+    @staticmethod
+    def _run(pytester, tests: str):
+        """Run ``tests`` under the benchmark conftest, in the repo layout
+        (``benchmarks/`` next to ``BENCH_perf.json``)."""
+        bench = pytester.mkdir("benchmarks")
+        (bench / "conftest.py").write_text(BENCH_CONFTEST.read_text())
+        (bench / "test_rows.py").write_text(tests)
+        trajectory = pytester.path / "BENCH_perf.json"
+        trajectory.write_text(json.dumps([row("old", "1111111")]) + "\n")
+        before = trajectory.read_bytes()
+        return pytester.runpytest("benchmarks"), trajectory, before
+
+    def test_failing_test_leaves_trajectory_unchanged(self, pytester):
+        result, trajectory, before = self._run(pytester, """
+def test_fails(record_benchmark):
+    record_benchmark("speedup", 0.5, "x")
+    assert False, "below the floor"
+""")
+        result.assert_outcomes(failed=1)
+        assert trajectory.read_bytes() == before
+
+    def test_only_passing_tests_rows_land(self, pytester):
+        result, trajectory, _ = self._run(pytester, """
+def test_passes(record_benchmark):
+    record_benchmark("kept", 2.0, "x")
+
+def test_fails(record_benchmark):
+    record_benchmark("dropped", 0.5, "x")
+    assert False
+""")
+        result.assert_outcomes(passed=1, failed=1)
+        names = [entry["name"] for entry in json.loads(trajectory.read_text())]
+        assert names == ["old", "kept"]

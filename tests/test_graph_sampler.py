@@ -117,6 +117,22 @@ class TestNeighborSampler:
         view = sampler.sample(_target_seeds(imdb_tiny, 5))
         assert set(view.relations) <= {only}
 
+    def test_uncapped_fanout_keeps_every_in_neighbor(self, imdb_tiny):
+        graph = imdb_tiny.graph
+        seeds = _target_seeds(imdb_tiny, 6)
+        exact = NeighborSampler(graph, fanout=None, num_layers=2).sample(
+            seeds)
+        capped = NeighborSampler(graph, fanout=int(graph.degrees().max()),
+                                 num_layers=2, seed=0).sample(seeds)
+        assert np.array_equal(exact.node_ids, capped.node_ids)
+        assert exact.relations == capped.relations
+        for relation in exact.relations:
+            assert np.array_equal(exact.edges_local(relation),
+                                  capped.edges_local(relation))
+        assert exact.num_nodes < graph.num_nodes
+        assert NeighborSampler(graph, fanout=None).max_view_nodes(
+            6) == graph.num_nodes
+
     def test_view_size_within_analytic_bound(self, imdb_tiny):
         sampler = NeighborSampler(imdb_tiny.graph, fanout=3, num_layers=2,
                                   seed=0)

@@ -161,6 +161,31 @@ class TestFusedEquivalence:
             scatter_accumulate(fast, index, grad)
         np.testing.assert_array_equal(reference, fast)
 
+    def test_scatter_accumulate_reference_is_bitwise_add_at(self):
+        # the unfused bincount route must form np.add.at's exact sums,
+        # signed zeros included; a non-zero or short target, too few
+        # entries or an out-of-range index go through np.add.at itself
+        rng = np.random.default_rng(1)
+        index = rng.integers(0, 50, size=400)
+        for trailing in ((), (3,), (4, 5), (1, 6)):
+            grad = rng.normal(size=(400,) + trailing)
+            grad[::7] = 0.0
+            grad[::11] = -0.0
+            for start in (0.0, -0.0, 1.5):
+                reference = np.full((50,) + trailing, start)
+                np.add.at(reference, index, grad)
+                out = np.full((50,) + trailing, start)
+                scatter_accumulate(out, index, grad)
+                assert out.tobytes() == reference.tobytes()
+        short = np.zeros((500, 3))
+        reference = short.copy()
+        grad = rng.normal(size=(400, 3))
+        np.add.at(reference, index, grad)
+        scatter_accumulate(short, index, grad)
+        assert short.tobytes() == reference.tobytes()
+        with pytest.raises(IndexError):
+            scatter_accumulate(np.zeros((10, 3)), index, grad)
+
 
 # ----------------------------------------------------------------------
 # op-level profiler

@@ -23,6 +23,7 @@ from repro.serving import (
     ServerConfig,
     ServingServer,
 )
+from repro.telemetry import parse_prometheus
 
 
 @pytest.fixture()
@@ -114,6 +115,27 @@ class TestMalformedTraffic:
         reply = _raw(server, b"PUT /predict HTTP/1.1\r\nHost: x\r\n"
                              b"Content-Length: 0\r\n\r\n")
         assert b"501" in reply.split(b"\r\n", 1)[0]
+        _assert_alive(server)
+
+    def test_chunked_body_is_501_and_closes(self, server):
+        # unsupported chunked framing: if the server ignored the header,
+        # the chunk bytes and the GET behind them would be answered as
+        # further requests on the same socket
+        reply = _raw(server,
+                     b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                     b"Transfer-Encoding: chunked\r\n\r\n"
+                     b"11\r\n{\"node_ids\": [0]}\r\n0\r\n\r\n"
+                     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.count(b"HTTP/1.") == 1
+        head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert b" 501 " in head[0]
+        assert b"Connection: close" in head
+        with urllib.request.urlopen(server.url + "/metrics",
+                                    timeout=10) as response:
+            samples = parse_prometheus(response.read().decode())["samples"]
+        assert sum(value for (name, labels), value in samples.items()
+                   if name == "http_requests_total"
+                   and ("status", "501") in labels) == 1.0
         _assert_alive(server)
 
     def test_garbage_request_line_is_rejected(self, server):

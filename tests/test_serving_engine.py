@@ -215,17 +215,17 @@ class TestServer:
         assert status == 200
         assert payload["queries"] >= 1
 
-    def test_onboard_engine_failure_is_500(self, server):
-        removed = server.engine.bundle.model_state.pop("classifier.weight")
-        try:
-            status, payload = self._post(server, "/onboard", {
-                "node_type": "actor",
-                "edges": {"movie:stars:actor": [0]},
-            })
-        finally:
-            server.engine.bundle.model_state["classifier.weight"] = removed
+    def test_onboard_engine_failure_is_500(self, server, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("backbone forward failed")
+
+        monkeypatch.setattr(server.engine.model, "encode", broken)
+        status, payload = self._post(server, "/onboard", {
+            "node_type": "actor",
+            "edges": {"movie:stars:actor": [0]},
+        })
         assert status == 500
-        assert "inductively" in payload["error"]
+        assert "forward failed" in payload["error"]
 
     def test_bad_request_is_400(self, server):
         status, payload = self._post(server, "/predict", {})

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from repro.serving import (
     build_bundle,
     parse_relation,
 )
+from repro.serving import onboarding as onboarding_module
+from repro.telemetry import EventSink, Tracer
+from repro.tensor import Tensor, no_grad
 from repro.training import NodeClassificationTrainer, TrainConfig, set_seed
 
 
@@ -236,9 +242,10 @@ class TestEngineOnboarding:
         with pytest.raises(KeyError):
             engine.onboard("studio", {})
 
-    def test_failed_onboard_rolls_back_completely(self, engine):
-        """A backbone that cannot be rebuilt mid-onboard must leave no
-        ghost node behind — retries and later onboards stay consistent."""
+    def test_failed_onboard_rolls_back_completely(self, engine,
+                                                  monkeypatch):
+        """A forward that fails mid-onboard must leave no ghost node
+        behind — retries and later onboards stay consistent."""
         engine.onboard("actor", {("movie", "stars", "actor"): [0]})
         manager = engine._onboarding
         graph = manager._dataset.graph
@@ -246,9 +253,12 @@ class TestEngineOnboarding:
         actors_before = graph.num_nodes_of("actor")
         labels_before = manager._dataset.labels
         h0_before = manager._h0
-        # sabotage the saved weights so the updated-model rebuild fails
-        removed = engine.bundle.model_state.pop("classifier.weight")
-        with pytest.raises(RuntimeError, match="inductively"):
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("backbone forward failed")
+
+        monkeypatch.setattr(engine.model, "encode", broken)
+        with pytest.raises(RuntimeError, match="forward failed"):
             engine.onboard("actor", {("movie", "stars", "actor"): [1]})
         assert graph.num_nodes == nodes_before
         assert graph.num_nodes_of("actor") == actors_before
@@ -256,7 +266,7 @@ class TestEngineOnboarding:
         assert manager._h0 is h0_before
         assert engine.num_onboarded == 1
         # restore and retry: the same onboard now succeeds cleanly
-        engine.bundle.model_state["classifier.weight"] = removed
+        monkeypatch.undo()
         result = engine.onboard("actor", {("movie", "stars", "actor"): [1]})
         assert result.local_id == graph.num_nodes_of("actor") - 1
         assert graph.num_nodes == nodes_before + 1
@@ -282,3 +292,160 @@ class TestEngineOnboarding:
         assert result.cluster is not None
         # no attributed neighbors → the mean op yields a zero attribute
         np.testing.assert_allclose(result.completed, 0.0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# The onboarding forward runs on the new node's exact receptive field
+# ----------------------------------------------------------------------
+def _quick_bundle(dataset, model_name):
+    """A one-epoch bundle of ``model_name`` on ``dataset``."""
+    set_seed(3)
+    space = SearchSpace()
+    assignment = np.random.default_rng(3).integers(
+        0, len(space), size=dataset.missing_global_ids.shape[0])
+    features = FixedAssignmentFeatures(dataset, 32, assignment, space=space)
+    model = build_model(model_name, dataset, hidden_dim=32, out_dim=32)
+    NodeClassificationTrainer(model, features, dataset,
+                              TrainConfig(epochs=1, patience=10)).train()
+    return build_bundle(dataset, DatasetSpec("imdb", "tiny", 0), model_name,
+                        model, features, hidden_dim=32, out_dim=32)
+
+
+def _full_forward(engine):
+    """``(encoded, target logits)`` of a model rebuilt over the engine's
+    updated graph, run on the whole updated ``h0``."""
+    manager = engine._onboarding
+    bundle = engine.bundle
+    model = build_model(bundle.model_name, manager._dataset,
+                        hidden_dim=bundle.hidden_dim, out_dim=bundle.out_dim,
+                        **bundle.model_kwargs)
+    model.load_state_dict(bundle.model_state)
+    model.eval()
+    with no_grad():
+        encoded = model.encode(Tensor(manager._h0))
+        logits = model.classifier(model.target_rows(encoded))
+    return model, encoded.data, logits.data
+
+
+def _receptive_field(graph, gid, num_layers):
+    """Nodes within ``num_layers`` in-hops of ``gid`` (plain BFS)."""
+    src, dst, _ = graph.all_edges_global()
+    seen, frontier = {gid}, {gid}
+    for _ in range(num_layers):
+        frontier = set(src[np.isin(dst, list(frontier))].tolist()) - seen
+        seen |= frontier
+    return len(seen)
+
+
+def _onboards(dataset):
+    """One attributed movie and one attribute-less actor."""
+    raw = np.random.default_rng(0).normal(
+        size=dataset.features["movie"].shape[1])
+    return [("movie", {"movie:stars:actor": [0, 1],
+                       "movie:directed-by:director": [2]}, raw),
+            ("actor", {"movie:stars:actor": [0, 2]}, None)]
+
+
+@pytest.fixture(scope="module", params=["simple_hgn", "gat", "gcn"])
+def view_bundle(request, imdb_tiny):
+    return _quick_bundle(imdb_tiny, request.param)
+
+
+class TestReceptiveFieldOnboarding:
+    def test_parity_with_full_forward(self, view_bundle, imdb_tiny):
+        engine = InferenceEngine(view_bundle, dataset=imdb_tiny)
+        for node_type, edges, raw in _onboards(imdb_tiny):
+            result = engine.onboard(node_type, edges, raw_features=raw)
+            _, encoded, logits = _full_forward(engine)
+            np.testing.assert_allclose(result.embedding,
+                                       encoded[result.global_id],
+                                       rtol=0, atol=1e-12)
+            if node_type == imdb_tiny.target_type:
+                np.testing.assert_allclose(result.logits,
+                                           logits[result.local_id],
+                                           rtol=0, atol=1e-12)
+                assert result.prediction == int(
+                    np.argmax(logits[result.local_id]))
+            else:
+                assert result.logits is None and result.prediction is None
+
+    def test_encode_sees_only_the_receptive_field(self, tiny_bundle,
+                                                  monkeypatch):
+        engine = InferenceEngine(tiny_bundle["bundle"],
+                                 dataset=tiny_bundle["dataset"])
+        rows = []
+        encode = engine.model.encode
+
+        def counting(h0, view=None):
+            rows.append(h0.shape[0])
+            return encode(h0, view=view)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a view-capable backbone was rebuilt")
+
+        monkeypatch.setattr(engine.model, "encode", counting)
+        monkeypatch.setattr(onboarding_module, "build_model", no_rebuild)
+        for node_type, edges, raw in _onboards(engine.dataset):
+            rows.clear()
+            result = engine.onboard(node_type, edges, raw_features=raw)
+            graph = engine._onboarding._dataset.graph
+            field = _receptive_field(graph, result.global_id,
+                                     engine.model.num_layers)
+            assert rows == [field]
+            assert field < graph.num_nodes
+
+    @pytest.fixture(scope="class")
+    def han_bundle(self, imdb_tiny):
+        """A backbone without view support (metapath-based HAN)."""
+        return _quick_bundle(imdb_tiny, "han")
+
+    def test_backbone_without_views_runs_the_full_forward(self, han_bundle,
+                                                          imdb_tiny,
+                                                          monkeypatch):
+        engine = InferenceEngine(han_bundle, dataset=imdb_tiny)
+        assert not engine.model.supports_sampling
+        rebuilt = []
+        build = onboarding_module.build_model
+
+        def counting(*args, **kwargs):
+            rebuilt.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(onboarding_module, "build_model", counting)
+        node_type, edges, raw = _onboards(imdb_tiny)[0]
+        result = engine.onboard(node_type, edges, raw_features=raw)
+        assert rebuilt == ["han"]
+        _, encoded, logits = _full_forward(engine)
+        np.testing.assert_allclose(result.logits, logits[result.local_id],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.embedding,
+                                   encoded[result.local_id],
+                                   rtol=0, atol=1e-12)
+
+    def test_failed_rebuild_is_reported_and_rolled_back(self, han_bundle,
+                                                        imdb_tiny):
+        engine = InferenceEngine(han_bundle, dataset=imdb_tiny)
+        node_type, edges, raw = _onboards(imdb_tiny)[0]
+        removed = han_bundle.model_state.pop("classifier.weight")
+        try:
+            with pytest.raises(RuntimeError, match="inductively"):
+                engine.onboard(node_type, edges, raw_features=raw)
+        finally:
+            han_bundle.model_state["classifier.weight"] = removed
+        assert engine._onboarding._dataset.graph.num_nodes == (
+            imdb_tiny.graph.num_nodes)
+        assert engine.num_onboarded == 0
+
+    def test_onboard_span_reports_view_size(self, tiny_bundle):
+        buffer = io.StringIO()
+        engine = InferenceEngine(tiny_bundle["bundle"],
+                                 dataset=tiny_bundle["dataset"],
+                                 tracer=Tracer(EventSink(buffer)))
+        node_type, edges, raw = _onboards(engine.dataset)[1]
+        result = engine.onboard(node_type, edges, raw_features=raw)
+        spans = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        (span,) = [s for s in spans if s["name"] == "onboard"]
+        graph = engine._onboarding._dataset.graph
+        assert span["attrs"]["view_nodes"] == _receptive_field(
+            graph, result.global_id, engine.model.num_layers)
+        assert 0 < span["attrs"]["view_edges"] < graph.num_edges()

@@ -173,6 +173,25 @@ class TestTierServing:
                    if name == "http_requests_total"
                    and ("status", "400") in labels) == 1.0
 
+    def test_chunked_body_is_501_and_closes(self, tiny_bundle):
+        # the chunk bytes and the GET behind them must not be answered
+        # as further requests on the same socket
+        with _tier(tiny_bundle["path"], workers=1) as tier:
+            reply = _raw(tier.address,
+                         b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"11\r\n{\"node_ids\": [0]}\r\n0\r\n\r\n"
+                         b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert reply.count(b"HTTP/1.") == 1
+            head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+            assert head[0] == b"HTTP/1.1 501 Not Implemented"
+            assert b"Connection: close" in head
+            status, text = _get(tier.url, "/metrics")
+        samples = parse_prometheus(text.decode())["samples"]
+        assert sum(value for (name, labels), value in samples.items()
+                   if name == "http_requests_total"
+                   and ("status", "501") in labels) == 1.0
+
     def test_oversized_body_is_rejected(self, tiny_bundle):
         frontend = FrontendConfig(deadline_ms=DEADLINE_MS,
                                   max_body_bytes=256)

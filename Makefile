@@ -41,11 +41,10 @@ tune-smoke:
 serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/serve_smoke.py
 
-# Serving-tier scale guard: preforked multi-worker tier vs one worker
-# under a closed-loop client pool, then open-loop saturation for tail
-# latency; REPRO_TIER_WORKERS picks the fleet size (default 4); floors
-# adapt to the host's core count (see docs/SCALING.md).  Rows land in
-# BENCH_perf.json.
+# Serving scale guard: `repro serve`'s HTTP stack under a closed-loop
+# pool of keep-alive clients (q/s recorded as information), then
+# open-loop saturation for tail latency (asserted; see docs/SCALING.md).
+# Rows land in BENCH_perf.json.
 serve-scale:
 	cd benchmarks && PYTHONPATH=../src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q \
 		test_serving_scale.py
@@ -53,9 +52,8 @@ serve-scale:
 # Chaos smoke: deterministic fault injection against the live stack —
 # serving under injected flush failures (no request lost without a 5xx),
 # corrupted bundle writes rejected at load, killed trial workers
-# self-healing to the identical leaderboard, and tier workers shot
-# mid-predict with zero client-visible failures; leaves
-# CHAOS_report.jsonl behind (see docs/ROBUSTNESS.md).
+# self-healing to the identical leaderboard; leaves CHAOS_report.jsonl
+# behind (see docs/ROBUSTNESS.md).
 chaos-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/chaos_smoke.py
 

@@ -1,30 +1,28 @@
-"""Serving tier — horizontal scaling and tail latency under load.
+"""Serving over HTTP — keep-alive throughput and tail latency under load.
 
-Not a paper table: this benchmark guards the preforked serving tier
-(`repro.serving.tier`).  It exports a small bundle, then measures:
+Not a paper table: this benchmark guards ``repro serve``'s one HTTP
+stack (:class:`repro.serving.ServingServer`, persistent HTTP/1.1
+connections).  It exports a small bundle, then measures:
 
-* **capacity** — sustained q/s of a 1-worker tier vs an N-worker tier
-  (``REPRO_TIER_WORKERS``, default 4) under the same closed-loop client
-  pool hammering distinct single-id predicts over keep-alive
-  connections;
+* **capacity** — sustained q/s of a closed-loop pool of ``CLIENTS``
+  keep-alive connections hammering distinct single-id predicts;
 * **tail latency** — an *open-loop* generator then offers ~1.3× the
-  measured multi-worker capacity (arrivals on a fixed schedule, sent
-  whether or not earlier requests completed).  The front's admission
-  control sheds what it cannot serve (503 queue-full / 504 deadline),
-  so the p99 of the *successful* requests must stay bounded by the
-  request deadline instead of growing with the backlog.
+  measured capacity (arrivals on a fixed schedule, sent whether or not
+  earlier requests completed).  Admission control and the request
+  deadline bound what a request may wait (503 queue-full / 504
+  deadline), so the p99 of the *successful* requests must stay bounded
+  by the deadline instead of growing with the backlog.
 
-Workers answer from the engine's load-time table, so they do no model
-compute and the multi-worker ``scaling`` depends on the host's cores and
-HTTP cost alone: it is recorded to ``BENCH_perf.json`` as information,
-never asserted.  The asserted guards are the open-loop ones.
+The engine answers from its load-time table, so the capacity is the
+HTTP stack's cost on this host alone: it is recorded to
+``BENCH_perf.json`` as information, never asserted.  The asserted
+guards are the open-loop ones.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
 import tempfile
 import threading
 import time
@@ -36,9 +34,9 @@ from repro.completion import FixedAssignmentFeatures, SearchSpace
 from repro.models import build_model
 from repro.serving import (
     DatasetSpec,
-    FrontendConfig,
-    ServingTier,
-    TierConfig,
+    InferenceEngine,
+    ServerConfig,
+    ServingServer,
     build_bundle,
 )
 from repro.training import NodeClassificationTrainer, TrainConfig, set_seed
@@ -51,8 +49,6 @@ CLIENTS = 8
 CAPACITY_SECONDS = 3.0
 OPEN_LOOP_SECONDS = 3.0
 DEADLINE_MS = 1500.0
-MULTI_WORKERS = max(2, int(os.environ.get("REPRO_TIER_WORKERS", "4")))
-EFFECTIVE_CORES = len(os.sched_getaffinity(0))
 
 
 def _export_bundle(tmp_dir: Path, scale: str) -> Path:
@@ -77,13 +73,11 @@ def _export_bundle(tmp_dir: Path, scale: str) -> Path:
     return bundle.save(tmp_dir / "scale_bundle.npz"), num_target
 
 
-def _boot_tier(path: Path, workers: int) -> ServingTier:
-    tier = ServingTier(
-        path,
-        TierConfig(workers=workers),
-        frontend_config=FrontendConfig(deadline_ms=DEADLINE_MS,
-                                       max_queue=512))
-    return tier.start_background()
+def _boot_server(path: Path) -> ServingServer:
+    return ServingServer(
+        InferenceEngine.from_path(path), port=0,
+        config=ServerConfig(deadline_ms=DEADLINE_MS,
+                            max_queue=512)).start_background()
 
 
 def _predict_once(conn: http.client.HTTPConnection, node_id: int):
@@ -96,9 +90,10 @@ def _predict_once(conn: http.client.HTTPConnection, node_id: int):
     return response.status, time.perf_counter() - started
 
 
-def _closed_loop(tier: ServingTier, seconds: float, ids_mod: int) -> dict:
+def _closed_loop(server: ServingServer, seconds: float,
+                 ids_mod: int) -> dict:
     """CLIENTS keep-alive connections sending back-to-back requests."""
-    host, port = tier.address
+    host, port = server.address
     stop_at = time.perf_counter() + seconds
     per_client = [[] for _ in range(CLIENTS)]
 
@@ -127,14 +122,14 @@ def _closed_loop(tier: ServingTier, seconds: float, ids_mod: int) -> dict:
             "total": len(outcomes), "elapsed": elapsed}
 
 
-def _open_loop(tier: ServingTier, seconds: float, offered_qps: float,
+def _open_loop(server: ServingServer, seconds: float, offered_qps: float,
                ids_mod: int) -> dict:
     """Fixed arrival schedule split across CLIENTS senders.
 
     A sender that falls behind its schedule fires immediately instead
     of skipping — the offered load does not slow down just because the
     server is struggling (that is what makes the loop *open*)."""
-    host, port = tier.address
+    host, port = server.address
     per_sender = offered_qps / CLIENTS
     per_client = [[] for _ in range(CLIENTS)]
 
@@ -175,28 +170,16 @@ def _open_loop(tier: ServingTier, seconds: float, offered_qps: float,
 def drive(scale: str = SCALE) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path, num_target = _export_bundle(Path(tmp), scale)
-
-        single = _boot_tier(path, workers=1)
+        server = _boot_server(path)
         try:
-            single_run = _closed_loop(single, CAPACITY_SECONDS, num_target)
-        finally:
-            single.shutdown()
-
-        multi = _boot_tier(path, workers=MULTI_WORKERS)
-        try:
-            multi_run = _closed_loop(multi, CAPACITY_SECONDS, num_target)
-            tail = _open_loop(multi, OPEN_LOOP_SECONDS,
-                              offered_qps=1.3 * max(multi_run["qps"], 1.0),
+            closed = _closed_loop(server, CAPACITY_SECONDS, num_target)
+            tail = _open_loop(server, OPEN_LOOP_SECONDS,
+                              offered_qps=1.3 * max(closed["qps"], 1.0),
                               ids_mod=num_target)
         finally:
-            multi.shutdown()
-
+            server.shutdown()
         return {
-            "workers": MULTI_WORKERS,
-            "effective_cores": EFFECTIVE_CORES,
-            "single_qps": single_run["qps"],
-            "multi_qps": multi_run["qps"],
-            "scaling": multi_run["qps"] / max(single_run["qps"], 1e-9),
+            "qps": closed["qps"],
             "p99_ms": tail["p99_ms"],
             "open_loop_ok_rate": tail["ok_rate"],
             "open_loop_sent": tail["sent"],
@@ -204,24 +187,20 @@ def drive(scale: str = SCALE) -> dict:
         }
 
 
-def test_serving_tier_scaling(benchmark, record_benchmark):
+def test_serving_http_scale(benchmark, record_benchmark):
     result = run_once(benchmark, drive)
-    record_benchmark("serving_tier_qps_single", result["single_qps"], "q/s")
-    record_benchmark("serving_tier_qps_multi", result["multi_qps"], "q/s")
-    record_benchmark("serving_tier_scaling", result["scaling"], "x")
-    record_benchmark("serving_tier_p99_ms", result["p99_ms"], "ms")
-    record_benchmark("serving_tier_open_loop_ok_rate",
+    record_benchmark("serving_http_qps", result["qps"], "q/s")
+    record_benchmark("serving_http_p99_ms", result["p99_ms"], "ms")
+    record_benchmark("serving_http_open_loop_ok_rate",
                      result["open_loop_ok_rate"], "frac")
 
-    print(f"\nserving tier: {result['workers']} workers on "
-          f"{result['effective_cores']} core(s) — "
-          f"{result['single_qps']:.0f} → {result['multi_qps']:.0f} q/s "
-          f"({result['scaling']:.2f}x, information only), "
+    print(f"\nserving over keep-alive HTTP: {CLIENTS} closed-loop clients "
+          f"{result['qps']:.0f} q/s (information only), "
           f"open-loop p99 {result['p99_ms']:.0f} ms "
           f"(ok rate {result['open_loop_ok_rate']:.2f}, "
           f"shed {result['open_loop_shed']}/{result['open_loop_sent']})")
 
-    # the front answers 504 instead of queueing past the deadline, so
+    # admission answers 503/504 instead of queueing past the deadline, so
     # successful-request p99 must not balloon under saturation (margin
     # covers client-side scheduling noise on busy CI hosts)
     assert result["p99_ms"] <= DEADLINE_MS * 2.0

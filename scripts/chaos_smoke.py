@@ -21,14 +21,6 @@ replays identically.  Three phases, each leaving accounting records in
    shooting worker processes mid-trial must self-heal to the *identical
    leaderboard* as an undisturbed run, and resuming from its journal
    must replay every verdict without re-executing anything.
-4. **serving-tier worker kills** — a 2-worker preforked tier with a
-   ``kill`` rule shooting workers mid-*predict* (never mid-onboard: the
-   WAL append is the commit point, and killing between append and reply
-   would make client retries at-least-once).  Clients must see zero
-   failures — the front requeues the dead worker's in-flight batch and
-   forks a replacement that replays the onboarding WAL — and the full
-   leaderboard of served predictions (base + onboarded nodes) must be
-   identical before and after every death.
 
 Exits non-zero on any failed check, so the job is a real gate.
 """
@@ -275,90 +267,6 @@ def phase_autotune(tmp_dir: Path) -> None:
            leaderboard_identical=want == got)
 
 
-# ---------------------------------------------------------------------------
-# Phase 4: serving-tier worker kills
-# ---------------------------------------------------------------------------
-def phase_tier(bundle_path: Path, tmp_dir: Path) -> None:
-    print("phase 4: tier workers shot mid-predict; clients never notice")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        print("  skipped: no fork start method on this platform")
-        record("phase", phase="tier", skipped=True)
-        return
-
-    import time
-
-    from repro.datasets import get_dataset
-    from repro.serving import FrontendConfig, ServingTier, TierConfig
-
-    raw_dim = get_dataset("imdb", scale="tiny",
-                          seed=0).features["movie"].shape[1]
-    wal_path = tmp_dir / "tier_onboard.wal"
-    # each worker process dies on its 7th visit that is a predict op;
-    # forked replacements inherit fresh counters, so sustained traffic
-    # keeps shooting them — the respawn budget must absorb it all
-    plan = FaultPlan([FaultRule(site="tier.worker.loop", action="kill",
-                                keys=("predict",), after=6, max_hits=1)],
-                     seed=CHAOS_SEED)
-    with armed(plan):  # exported: forked workers inherit the plan
-        tier = ServingTier(
-            bundle_path, TierConfig(workers=2, wal_path=wal_path),
-            frontend_config=FrontendConfig(deadline_ms=60_000.0)
-            ).start_background()
-        try:
-            status, onboarded = post(tier.url + "/onboard", {
-                "node_type": "movie",
-                "edges": {"movie:stars:actor": [0, 1]},
-                "raw_features": [0.25] * raw_dim})
-            check(status == 200, "onboarding through the writer succeeds")
-            new_id = onboarded["node_id"]
-            every_id = list(range(new_id)) + [new_id]
-
-            status, before = post(tier.url + "/predict",
-                                  {"node_ids": every_id})
-            check(status == 200, "full leaderboard served pre-chaos")
-
-            # NO client-side retry loop: a killed worker's batch is
-            # requeued by the front, so every request must answer 200
-            lost = 0
-            for index in range(30):
-                status, body = post(tier.url + "/predict",
-                                    {"node_ids": [every_id[
-                                        index % len(every_id)]]})
-                if status != 200:
-                    lost += 1
-                record("tier_request", index=index, status=status)
-            check(lost == 0,
-                  f"no request lost across worker kills ({lost} lost)")
-
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                stats = get(tier.url + "/stats")[1]
-                if stats["tier"]["alive"] >= 2:
-                    break
-                time.sleep(0.2)
-            deaths = stats["tier"]["deaths"]
-            respawns = stats["tier"]["respawns"]
-            print(f"  worker deaths: {deaths}, respawns: {respawns}")
-            check(deaths >= 1, "the kill rule actually shot tier workers")
-            check(respawns >= 1, "dead workers were respawned")
-            check(stats["tier"]["alive"] == 2,
-                  "the tier is back to full capacity")
-
-            status, after = post(tier.url + "/predict",
-                                 {"node_ids": every_id})
-            identical = (status == 200
-                         and after["predictions"] == before["predictions"])
-            check(identical,
-                  "the served leaderboard (base + onboarded) is identical "
-                  "after every death — respawns replayed the WAL")
-        finally:
-            tier.shutdown()
-    rate = 1.0 if lost == 0 else 1.0 - lost / 30.0
-    record("phase", phase="tier", deaths=deaths, respawns=respawns,
-           lost=lost, leaderboard_identical=identical,
-           recovered_rate=rate)
-
-
 def main() -> int:
     REPORT_OUT.unlink(missing_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,7 +276,6 @@ def main() -> int:
         rate = phase_serving(bundle_path)
         phase_artifacts(bundle_path, tmp_dir)
         phase_autotune(tmp_dir)
-        phase_tier(bundle_path, tmp_dir)
     record("summary", recovered_rate=rate, checks_failed=len(_failures))
     with REPORT_OUT.open("w", encoding="utf-8") as handle:
         for entry in _records:

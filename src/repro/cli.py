@@ -396,29 +396,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .telemetry import EventSink, Tracer
 
     _arm_fault_plan(args)
-    if args.workers > 1:
-        from .serving import FrontendConfig, ServingTier, TierConfig
-
-        tier = ServingTier(
-            args.bundle,
-            TierConfig(workers=args.workers, mmap=not args.no_mmap,
-                       wal_path=args.wal or None),
-            host=args.host, port=args.port,
-            frontend_config=FrontendConfig(
-                deadline_ms=(args.deadline_ms or None),
-                max_queue=args.max_queue,
-                max_batch=args.batch_size,
-                max_body_bytes=args.max_body_bytes))
-        print(f"serving {args.bundle} with {args.workers} workers "
-              f"({'mmap' if not args.no_mmap else 'eager'} bundle, "
-              f"writer=worker 0) at http://{args.host}:{args.port} "
-              f"(/healthz /readyz /predict /onboard /stats /metrics); "
-              f"Ctrl-C to stop, SIGTERM to drain")
-        try:
-            tier.serve_forever()
-        except KeyboardInterrupt:
-            tier.shutdown()
-        return 0
     # spans go to --telemetry-out (JSONL); access records share that
     # sink when present, else fall back to stderr so --access-log alone
     # still produces structured lines somewhere visible
@@ -681,9 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a ModelBundle .npz written by `repro export`")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
-    p_serve.add_argument("--batch-size", type=int, default=64,
-                         help="tier only (--workers > 1): queries the "
-                              "front coalesces into one worker round-trip")
     p_serve.add_argument("--access-log", action="store_true",
                          help="structured access logging (JSONL) through "
                               "the telemetry sink (default off)")
@@ -702,13 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-body-bytes", type=int,
                          default=8 * 1024 * 1024,
                          help="request bodies above this answer 413")
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="worker processes; >1 runs the preforked "
-                              "serving tier over a shared mmap bundle "
-                              "(worker 0 is the onboarding writer)")
-    p_serve.add_argument("--no-mmap", action="store_true",
-                         help="tier only: load the bundle eagerly instead "
-                              "of through the mmap sidecar cache")
     p_serve.add_argument("--wal", default=None,
                          help="onboarding write-ahead log (JSONL): "
                               "replayed on start, appended per onboard")

@@ -7,12 +7,10 @@ answers queries from an :class:`InferenceEngine` whose answer table is
 built by one forward at load, onboards brand-new nodes online
 (:mod:`repro.serving.onboarding`, crash-safe via the
 :class:`OnboardWAL`), and exposes the whole thing over stdlib HTTP
-(:class:`ServingServer` with per-request deadlines, bounded admission,
-and a circuit breaker — see :mod:`repro.serving.admission`).  For
-horizontal scale, :class:`ServingTier` preforks N worker processes over
-one mmap-backed bundle behind an async coalescing front
-(:class:`TierFrontend`) — see docs/SCALING.md.  Entry points on the
-CLI: ``repro export`` / ``repro serve`` / ``repro predict``.
+(:class:`ServingServer`: one process, persistent HTTP/1.1 connections,
+per-request deadlines, bounded admission and a circuit breaker — see
+:mod:`repro.serving.admission` and docs/SCALING.md).  Entry points on
+the CLI: ``repro export`` / ``repro serve`` / ``repro predict``.
 """
 
 from .admission import (
@@ -35,10 +33,8 @@ from .artifact import (
     default_label_names,
 )
 from .engine import EngineConfig, InferenceEngine
-from .frontend import FrontendConfig, TierFrontend, WorkerDied
 from .onboarding import OnboardResult, OnboardingManager, parse_relation
 from .server import ServerConfig, ServingServer, make_handler
-from .tier import TIER_PROTOCOL_VERSION, ServingTier, TierConfig, WorkerHandle
 from .wal import OnboardWAL, WalReplayError
 
 __all__ = [
@@ -60,18 +56,11 @@ __all__ = [
     "deadline_scope",
     "default_label_names",
     "EngineConfig",
-    "FrontendConfig",
     "InferenceEngine",
     "OnboardResult",
     "OnboardingManager",
     "parse_relation",
     "ServerConfig",
     "ServingServer",
-    "ServingTier",
-    "TIER_PROTOCOL_VERSION",
-    "TierConfig",
-    "TierFrontend",
-    "WorkerDied",
-    "WorkerHandle",
     "make_handler",
 ]

@@ -23,8 +23,6 @@ bundle is *rejected*, never trusted.  Pre-checksum bundles still load
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -57,13 +55,6 @@ _FEATURES_PREFIX = "features__state__"
 
 #: archive entry holding the checksum table; excluded from its own table
 _CHECKSUMS_KEY = "checksums_json"
-
-#: layout version of the sidecar ``<bundle>.mmap/`` cache (bump to force
-#: a rebuild when the unpacked layout changes)
-_MMAP_CACHE_VERSION = 1
-
-#: stamp file inside the mmap cache recording which archive it unpacks
-_MMAP_STAMP = "stamp.json"
 
 
 class BundleIntegrityError(ValueError):
@@ -185,21 +176,8 @@ class ModelBundle:
                     f"refusing to serve a torn artifact")
 
     @classmethod
-    def load(cls, path: PathLike,
-             mmap_mode: Optional[str] = None) -> "ModelBundle":
-        """Read a bundle back, verifying integrity.
-
-        ``mmap_mode=None`` (default) loads every array into process
-        memory.  ``mmap_mode="r"`` serves the arrays as **read-only
-        memory maps**: the compressed archive is unpacked once into a
-        sidecar ``<bundle>.npz.mmap/`` directory of raw ``.npy`` files
-        (checksum-verified, keyed by the archive's SHA-256 so a
-        replaced bundle rebuilds the cache), and every subsequent load
-        — in this process or any other on the same host — maps the same
-        files, so N loads share one physical copy of the pages instead
-        of N full-size allocations.  This is what lets a preforked
-        serving tier (:mod:`repro.serving.tier`) keep one copy of the
-        model weights + completed attributes across all workers.
+    def load(cls, path: PathLike) -> "ModelBundle":
+        """Read a bundle back into memory, verifying integrity.
 
         Raises :class:`BundleIntegrityError` for unreadable/torn/corrupt
         archives and plain ``ValueError`` for well-formed archives of the
@@ -208,12 +186,6 @@ class ModelBundle:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(path)
-        if mmap_mode is not None:
-            if mmap_mode != "r":
-                raise ValueError(
-                    f"mmap_mode must be None or 'r' (bundles are served "
-                    f"read-only), got {mmap_mode!r}")
-            return cls._load_mmap(path)
         try:
             archive_ctx = np.load(path)
         except (zipfile.BadZipFile, OSError, ValueError) as error:
@@ -271,121 +243,6 @@ class ModelBundle:
                 metrics=dict(manifest.get("metrics") or {}),
                 meta=dict(manifest.get("meta") or {}),
             )
-
-    # ------------------------------------------------------------------
-    # mmap-backed loading (zero-copy page sharing across processes)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _mmap_cache_dir(path: Path) -> Path:
-        return path.with_name(path.name + ".mmap")
-
-    @staticmethod
-    def _mmap_cache_valid(cache: Path, digest: str) -> bool:
-        try:
-            meta = json.loads((cache / _MMAP_STAMP).read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        return (meta.get("digest") == digest
-                and meta.get("cache_version") == _MMAP_CACHE_VERSION)
-
-    @classmethod
-    def _build_mmap_cache(cls, path: Path, cache: Path, digest: str) -> None:
-        """Unpack the (verified) archive into raw ``.npy`` files.
-
-        The cache is assembled in a sibling tmp directory and published
-        with one ``os.replace`` so readers never see a half-built cache;
-        a concurrent builder that loses the rename race adopts the
-        winner's cache instead of failing.
-        """
-        bundle = cls.load(path)  # eager + checksum-verified
-        tmp = cache.with_name(f"{cache.name}.tmp.{os.getpid()}")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        arrays_dir = tmp / "arrays"
-        arrays_dir.mkdir(parents=True)
-        arrays: Dict[str, np.ndarray] = {
-            "assignment": bundle.assignment,
-            "cluster_labels": bundle.cluster_labels,
-            "completed": bundle.completed,
-        }
-        for key, value in bundle.model_state.items():
-            arrays[_MODEL_PREFIX + escape_state_key(key)] = np.asarray(value)
-        for key, value in bundle.features_state.items():
-            arrays[_FEATURES_PREFIX + escape_state_key(key)] = np.asarray(value)
-        for name, value in arrays.items():
-            np.save(arrays_dir / f"{name}.npy", np.ascontiguousarray(value))
-        (tmp / "manifest.json").write_text(
-            json.dumps(bundle.manifest(), indent=2, sort_keys=True) + "\n")
-        (tmp / _MMAP_STAMP).write_text(json.dumps(
-            {"algo": "sha256", "digest": digest,
-             "cache_version": _MMAP_CACHE_VERSION, "source": path.name},
-            indent=2, sort_keys=True) + "\n")
-        if cache.exists():  # stale cache for a replaced archive
-            shutil.rmtree(cache)
-        try:
-            os.replace(tmp, cache)
-        except OSError:
-            if cls._mmap_cache_valid(cache, digest):
-                shutil.rmtree(tmp, ignore_errors=True)  # lost the race
-            else:
-                raise
-
-    @classmethod
-    def _load_mmap(cls, path: Path) -> "ModelBundle":
-        digest = sha256_hex(path.read_bytes())
-        cache = cls._mmap_cache_dir(path)
-        if not cls._mmap_cache_valid(cache, digest):
-            cls._build_mmap_cache(path, cache, digest)
-        try:
-            manifest = json.loads((cache / "manifest.json").read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise BundleIntegrityError(
-                f"{cache} has an unreadable manifest: {error}") from error
-        if manifest.get("kind") != "autoac-model-bundle":
-            raise ValueError(f"{path} is not a model bundle "
-                             f"(kind={manifest.get('kind')!r})")
-
-        def _open(name: str) -> np.ndarray:
-            file = cache / "arrays" / f"{name}.npy"
-            try:
-                return np.load(file, mmap_mode="r")
-            except ValueError:
-                return np.load(file)  # zero-size arrays cannot be mapped
-            except OSError as error:
-                raise BundleIntegrityError(
-                    f"{cache} is missing array {name!r}: {error}") from error
-
-        model_state: Dict[str, np.ndarray] = {}
-        features_state: Dict[str, np.ndarray] = {}
-        for file in sorted((cache / "arrays").glob("*.npy")):
-            name = file.name[:-len(".npy")]
-            if name.startswith(_MODEL_PREFIX):
-                model_state[unescape_state_key(
-                    name[len(_MODEL_PREFIX):])] = _open(name)
-            elif name.startswith(_FEATURES_PREFIX):
-                features_state[unescape_state_key(
-                    name[len(_FEATURES_PREFIX):])] = _open(name)
-        spec = manifest["dataset"]
-        model = manifest["model"]
-        return cls(
-            dataset=DatasetSpec(name=spec["name"], scale=spec["scale"],
-                                seed=int(spec["seed"])),
-            model_name=model["name"],
-            hidden_dim=int(model["hidden_dim"]),
-            out_dim=int(model["out_dim"]),
-            model_kwargs=dict(model.get("kwargs") or {}),
-            op_names=list(manifest["op_names"]),
-            target_type=manifest["target_type"],
-            num_classes=int(manifest["num_classes"]),
-            label_names=list(manifest["label_names"]),
-            assignment=_open("assignment"),
-            cluster_labels=_open("cluster_labels"),
-            completed=_open("completed"),
-            model_state=model_state,
-            features_state=features_state,
-            metrics=dict(manifest.get("metrics") or {}),
-            meta=dict(manifest.get("meta") or {}),
-        )
 
     # ------------------------------------------------------------------
     def space(self) -> SearchSpace:

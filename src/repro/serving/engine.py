@@ -67,8 +67,8 @@ def _as_ids(node_ids) -> np.ndarray:
     """One id, a list/tuple of ids or an integer array, as 1-D int64.
 
     The one place ids are checked: anything but integers (bools, floats,
-    strings, nested lists) raises ``ValueError``, which both HTTP fronts
-    answer with 400.
+    strings, nested lists) raises ``ValueError``, which the HTTP server
+    answers with 400.
     """
     if isinstance(node_ids, np.ndarray):
         if node_ids.ndim > 1 or (node_ids.size
@@ -121,10 +121,6 @@ class InferenceEngine:
         self._logits, self._embeddings = self._build_table()
         self._lock = threading.RLock()
         self._onboarding: Optional[OnboardingManager] = None
-        #: overlay deltas *installed* from a peer's onboard (see
-        #: :meth:`install_overlay`) — served exactly like locally
-        #: onboarded nodes but never recomputed here
-        self._installed: Dict[Tuple[str, int], OnboardResult] = {}
         self._wal: Optional[OnboardWAL] = None
         self._started = time.perf_counter()
 
@@ -153,17 +149,6 @@ class InferenceEngine:
         return (np.asarray(logits.data),
                 np.asarray(encoded.data) if self.model.full_graph else None)
 
-    def _overlay_targets(self) -> Dict[int, OnboardResult]:
-        overlay: Dict[int, OnboardResult] = {
-            local_id: result
-            for (node_type, local_id), result in self._installed.items()
-            if node_type == self.bundle.target_type}
-        if self._onboarding is not None:
-            # a locally computed result is authoritative over an
-            # installed copy of itself (they are identical by contract)
-            overlay.update(self._onboarding.target_overlay())
-        return overlay
-
     def _rows(self, kind: str, node_ids) -> Tuple[np.ndarray, np.ndarray]:
         """``(ids, rows)``: the table (or overlay) row of every queried id."""
         ids = _as_ids(node_ids)
@@ -171,8 +156,9 @@ class InferenceEngine:
             overlay: Dict[int, OnboardResult] = {}
             if kind == "predict":
                 table = self._logits
-                if ids.size and ids.max() >= len(table):
-                    overlay = self._overlay_targets()
+                if (ids.size and ids.max() >= len(table)
+                        and self._onboarding is not None):
+                    overlay = self._onboarding.target_overlay()
             elif self._embeddings is None:
                 raise ValueError(
                     f"backbone {self.bundle.model_name!r} only embeds the "
@@ -251,22 +237,6 @@ class InferenceEngine:
                 self._wal.append(node_type, edges, raw_features=raw_features)
             return result
 
-    def install_overlay(self, result: OnboardResult) -> OnboardResult:
-        """Adopt a peer's onboard result into this engine's overlay.
-
-        The tier's single-writer protocol: one writer process computes
-        an onboard (:meth:`onboard`, WAL first), then broadcasts the
-        result as a compact delta (:meth:`OnboardResult.to_wire`); every
-        reader installs it here.  Installation is pure bookkeeping — no
-        graph mutation, no forward pass — so readers never block reads
-        on writes, and the installed node serves the *writer's* exact
-        logits.  Idempotent: re-installing the same node overwrites the
-        same entry.
-        """
-        with self._lock:
-            self._installed[(result.node_type, result.local_id)] = result
-            return result
-
     def attach_wal(self, wal, replay: bool = True) -> int:
         """Attach an onboarding WAL (path or :class:`OnboardWAL`).
 
@@ -307,10 +277,8 @@ class InferenceEngine:
     @property
     def num_onboarded(self) -> int:
         with self._lock:
-            keys = set(self._installed)
-            if self._onboarding is not None:
-                keys.update(self._onboarding._results)
-            return len(keys)
+            return (0 if self._onboarding is None
+                    else len(self._onboarding))
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict:

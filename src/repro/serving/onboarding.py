@@ -93,60 +93,6 @@ class OnboardResult:
                           else self.embedding.tolist()),
         }
 
-    def to_wire(self) -> Dict:
-        """The *complete* result as a JSON-able overlay delta.
-
-        Unlike :meth:`to_json` (the client-facing reply, which drops
-        the logits), the wire form carries everything a reader process
-        needs to serve this node from its overlay without recomputing —
-        the payload the tier's writer broadcasts after an onboard.
-        Python floats round-trip JSON exactly, so an installed delta
-        serves bit-identical answers.
-        """
-
-        def _array(value):
-            if value is None:
-                return None
-            value = np.asarray(value)
-            return {"dtype": value.dtype.str, "data": value.tolist()}
-
-        return {
-            "node_type": self.node_type,
-            "local_id": self.local_id,
-            "global_id": self.global_id,
-            "cluster": self.cluster,
-            "op_name": self.op_name,
-            "completed": _array(self.completed),
-            "logits": _array(self.logits),
-            "prediction": self.prediction,
-            "label": self.label,
-            "embedding": _array(self.embedding),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping) -> "OnboardResult":
-        """Rebuild a result from :meth:`to_wire` output (exact)."""
-
-        def _array(entry):
-            if entry is None:
-                return None
-            return np.asarray(entry["data"], dtype=np.dtype(entry["dtype"]))
-
-        return cls(
-            node_type=payload["node_type"],
-            local_id=int(payload["local_id"]),
-            global_id=int(payload["global_id"]),
-            cluster=(None if payload.get("cluster") is None
-                     else int(payload["cluster"])),
-            op_name=payload.get("op_name"),
-            completed=_array(payload.get("completed")),
-            logits=_array(payload.get("logits")),
-            prediction=(None if payload.get("prediction") is None
-                        else int(payload["prediction"])),
-            label=payload.get("label"),
-            embedding=_array(payload.get("embedding")),
-        )
-
 
 class OnboardingManager:
     """Owns the mutable serving-side graph and the onboarded-node overlay."""

@@ -4,6 +4,17 @@ No web framework — ``http.server.ThreadingHTTPServer`` is enough to make
 the engine drivable as a real service (and testable end to end).  The
 engine serializes access internally, so the threaded server is safe.
 
+Connections are persistent HTTP/1.1 (one thread per connection, Nagle
+off so a reply's header and body writes leave at once).  Framing stays
+exact on a reused socket: bodies need a plain decimal
+``Content-Length`` (anything else answers 400), and every reply sent
+before the request's body was read in full — a 413, a shed 503, a
+truncated body, a GET that carries one — says ``Connection: close``
+and closes, so unread bytes are never parsed as the next request.  A
+connection silent for ``IDLE_TIMEOUT_S`` (idle between requests, or cut
+off mid-headers or mid-body) is closed and counted in
+``http_idle_timeouts_total``.
+
 Endpoints
 ---------
 ``GET  /healthz``  **liveness**: the process is up and owns a bundle
@@ -65,6 +76,10 @@ from .engine import InferenceEngine
 _KNOWN_PATHS = ("/healthz", "/readyz", "/stats", "/metrics",
                 "/predict", "/onboard")
 
+#: seconds a connection may stay silent (between requests, or part-way
+#: through one) before the server closes it and frees its thread
+IDLE_TIMEOUT_S = 15.0
+
 
 @dataclass
 class ServerConfig:
@@ -76,9 +91,8 @@ class ServerConfig:
     overload, which is exactly when an orchestrator needs them.
     ``max_body_bytes`` rejects oversized payloads with **413** before a
     byte of the body is read.  Bodies must come with ``Content-Length``:
-    a ``Transfer-Encoding`` request answers **501** and closes, so its
-    unread body is never parsed as the next request.  The breaker
-    settings guard ``/onboard`` (the state-mutating path): after
+    a ``Transfer-Encoding`` request answers **501** and closes.  The
+    breaker settings guard ``/onboard`` (the state-mutating path): after
     ``breaker_failures`` consecutive onboard errors the endpoint fails
     fast with **503** until a ``breaker_cooldown_s`` probe succeeds.
     """
@@ -134,14 +148,27 @@ def make_handler(engine: InferenceEngine,
     http_errors = metrics.counter(
         "http_internal_errors_total",
         "Unexpected handler exceptions answered with 500")
+    http_idle_timeouts = metrics.counter(
+        "http_idle_timeouts_total",
+        "Connections closed after IDLE_TIMEOUT_S of client silence")
 
     class ServingHandler(BaseHTTPRequestHandler):
         server_version = "repro-serving/1"
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
 
         # silence per-request stderr logging — structured access logging
         # goes through the telemetry event sink instead (off by default)
         def log_message(self, format, *args):  # noqa: A002
             pass
+
+        def log_error(self, format, *args):  # noqa: A002
+            # http.server reports a socket timeout while waiting for a
+            # request line or headers here, with the error as the last
+            # argument, and has already marked the connection to close
+            if args and isinstance(args[-1], TimeoutError):
+                http_idle_timeouts.inc()
 
         def _reply(self, status: int, payload: dict,
                    extra_headers: Optional[dict] = None) -> None:
@@ -155,6 +182,10 @@ def make_handler(engine: InferenceEngine,
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self._unread or not (ready is None or ready.is_set()):
+                # body bytes left on the socket would be read as the
+                # next request; a draining server hands clients back
+                self.send_header("Connection", "close")
             if self._trace_id:
                 self.send_header("X-Trace-Id", self._trace_id)
             for name, value in (extra_headers or {}).items():
@@ -163,10 +194,7 @@ def make_handler(engine: InferenceEngine,
             self.wfile.write(body)
 
         def _read_json(self) -> dict:
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except (TypeError, ValueError):
-                raise ValueError("Content-Length must be an integer")
+            length = self._length
             if length > config.max_body_bytes:
                 # refused before a byte of the body is read: the
                 # connection is closed after the reply, so an attacker
@@ -174,13 +202,14 @@ def make_handler(engine: InferenceEngine,
                 raise _PayloadTooLarge(
                     f"request body of {length} bytes exceeds the "
                     f"{config.max_body_bytes}-byte limit")
-            if length <= 0:
+            if length == 0:
                 return {}
             body = self.rfile.read(length)
             if len(body) < length:
                 raise ValueError(
                     f"request body truncated ({len(body)} of "
                     f"{length} bytes)")
+            self._unread = False
             payload = json.loads(body.decode())
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
@@ -233,7 +262,6 @@ def make_handler(engine: InferenceEngine,
                         deadline_scope(deadline):
                     self._dispatch_post_admitted()
             except _PayloadTooLarge as error:
-                self.close_connection = True
                 self._reply(413, {"error": str(error)})
             except DeadlineExceeded as error:
                 http_deadline.inc()
@@ -282,16 +310,24 @@ def make_handler(engine: InferenceEngine,
             start = time.perf_counter()
             self._status = 500
             self._trace_id = None
+            lengths = self.headers.get_all("Content-Length") or ["0"]
+            framed = len(lengths) == 1 and lengths[0].isdecimal()
+            self._length = int(lengths[0]) if framed else 0
+            #: body bytes of this request still on the socket
+            self._unread = (not framed or self._length > 0
+                            or "Transfer-Encoding" in self.headers)
             path_label = (self.path if self.path in _KNOWN_PATHS
                           else "<other>")
             with engine.tracer.span("http_request", method=method,
                                     path=self.path) as span:
                 self._trace_id = span.trace_id
                 try:
-                    if self.headers.get("Transfer-Encoding") is not None:
+                    if "Transfer-Encoding" in self.headers:
                         self._reply(501, {"error": "Transfer-Encoding is "
-                                                   "not supported"},
-                                    extra_headers={"Connection": "close"})
+                                                   "not supported"})
+                    elif not framed:
+                        self._reply(400, {"error": "Content-Length must be "
+                                                   "a non-negative integer"})
                     elif method == "GET":
                         self._dispatch_get()
                     else:
@@ -300,6 +336,14 @@ def make_handler(engine: InferenceEngine,
                     # the client hung up mid-request; nothing to answer,
                     # and one dead socket must not take the thread down
                     self.close_connection = True
+                except TimeoutError:
+                    # the body stopped arriving part-way
+                    http_idle_timeouts.inc()
+                    try:
+                        self._reply(408, {"error": "request body timed "
+                                                   "out"})
+                    except OSError:
+                        self.close_connection = True
                 except Exception as error:  # noqa: BLE001 — the backstop
                     # whatever escaped the typed handlers (including an
                     # injected fault) becomes a clean 500: a request may
@@ -343,10 +387,11 @@ class ServingServer:
     address.  ``access_sink`` enables structured access logging;
     ``config`` carries the robustness knobs (deadlines, admission
     bounds, body limit, breaker).  Readiness starts ``True``;
-    :meth:`set_ready` flips ``/readyz`` (liveness is unaffected), and
-    :meth:`shutdown` drains in order: stop accepting new POSTs (shed
-    with 503), let in-flight requests finish (bounded by
-    ``drain_timeout_s``), then close the socket.
+    :meth:`set_ready` flips ``/readyz`` (liveness is unaffected; while
+    unready every reply closes its connection, so keep-alive clients
+    reconnect elsewhere), and :meth:`shutdown` drains in order: stop
+    accepting new POSTs (shed with 503), let in-flight requests finish
+    (bounded by ``drain_timeout_s``), then close the socket.
     """
 
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
@@ -448,4 +493,4 @@ class ServingServer:
         signal.signal(signal.SIGTERM, _drain)
 
 
-__all__ = ["ServerConfig", "ServingServer", "make_handler"]
+__all__ = ["IDLE_TIMEOUT_S", "ServerConfig", "ServingServer", "make_handler"]

@@ -7,8 +7,8 @@ epoch granularity.  Three pieces:
 * **Metrics** (:mod:`.metrics`) — a thread-safe registry of counters,
   gauges and fixed-bucket histograms with labels.  Snapshots are plain
   JSON-able dicts and merge across shards by bucket-wise addition
-  (:func:`merge_snapshots`), which is what lets a future preforked
-  serving tier aggregate per-worker state for free.
+  (:func:`merge_snapshots`), which is how ``/metrics`` joins the
+  engine's registry with the process-global one.
 * **Tracing** (:mod:`.tracing`) — lightweight spans with trace-id
   propagation (HTTP handler → engine batch → model forward, with
   optional per-op capture via :mod:`repro.tensor._profile`) and a

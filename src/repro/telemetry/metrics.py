@@ -11,8 +11,8 @@ snapshot`.
 Three design decisions carry the multi-process future:
 
 * **Snapshots are plain JSON-able dicts.**  A snapshot crosses process
-  boundaries as-is (pipe, mmap, file), so a preforked serving tier can
-  ship per-worker snapshots to the parent for aggregation.
+  boundaries as-is (pipe, file), so registries of several processes
+  can be shipped to one place and aggregated.
 * **Histograms are fixed-bucket.**  A histogram is just per-bucket
   counts plus ``sum``/``count``; merging shards is element-wise
   addition (:func:`merge_snapshots`), and the merged histogram is
@@ -400,7 +400,7 @@ def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
     Counters and histogram buckets/sums/counts add element-wise; gauges
     follow their declared aggregation.  The merge of N shard snapshots
     equals the snapshot a single process observing everything would
-    produce — the substrate the preforked serving tier aggregates with.
+    produce — how ``/metrics`` joins the engine and process registries.
     """
     merged: Dict[str, Dict] = {}
     for snapshot in snapshots:

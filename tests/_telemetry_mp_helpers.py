@@ -28,7 +28,7 @@ def build_shard_registry(shard_index: int):
     """One worker's private registry with deterministic traffic.
 
     Exercises all three instrument kinds, overlapping AND disjoint label
-    values across shards, and both gauge aggregations the tier uses.
+    values across shards, and both gauge aggregations (sum, max).
     """
     from repro.telemetry import MetricsRegistry
 

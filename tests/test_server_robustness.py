@@ -2,18 +2,24 @@
 
 The recurring assertion shape: abuse the server, then prove ``/healthz``
 still answers 200 — one bad request (or one bad client) must never take
-the serving thread pool down.
+the serving thread pool down.  Connections are persistent, so framing
+tests also count the responses a socket gets: a request whose body the
+server did not read must never yield a second, smuggled response.
 """
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import socket
 import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, armed
@@ -23,6 +29,7 @@ from repro.serving import (
     ServerConfig,
     ServingServer,
 )
+from repro.serving import server as server_module
 from repro.telemetry import parse_prometheus
 
 
@@ -68,9 +75,33 @@ def _raw(server, data: bytes, shutdown_write=True) -> bytes:
                 if not chunk:
                     break
                 chunks.append(chunk)
-        except socket.timeout:
+        except (socket.timeout, ConnectionResetError):
+            # a server closing with request bytes unread may reset the
+            # socket after its reply; what arrived before still counts
             pass
         return b"".join(chunks)
+
+
+def _responses(data: bytes):
+    """Split a socket transcript into ``(status, headers, body)`` replies."""
+    stream = io.BytesIO(data)
+    replies = []
+    while True:
+        status_line = stream.readline()
+        if not status_line:
+            return replies
+        headers = http.client.parse_headers(stream)
+        body = stream.read(int(headers["Content-Length"]))
+        replies.append((int(status_line.split()[1]), headers, body))
+
+
+def _http_status_count(server, status):
+    with urllib.request.urlopen(server.url + "/metrics",
+                                timeout=10) as response:
+        samples = parse_prometheus(response.read().decode())["samples"]
+    return sum(value for (name, labels), value in samples.items()
+               if name == "http_requests_total"
+               and ("status", status) in labels)
 
 
 def _assert_alive(server):
@@ -130,12 +161,7 @@ class TestMalformedTraffic:
         head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
         assert b" 501 " in head[0]
         assert b"Connection: close" in head
-        with urllib.request.urlopen(server.url + "/metrics",
-                                    timeout=10) as response:
-            samples = parse_prometheus(response.read().decode())["samples"]
-        assert sum(value for (name, labels), value in samples.items()
-                   if name == "http_requests_total"
-                   and ("status", "501") in labels) == 1.0
+        assert _http_status_count(server, "501") == 1.0
         _assert_alive(server)
 
     def test_garbage_request_line_is_rejected(self, server):
@@ -153,6 +179,201 @@ class TestMalformedTraffic:
         status, payload, _ = _post(server, "/predict", [1, 2, 3])
         assert status == 400 and "JSON object" in payload["error"]
         _assert_alive(server)
+
+
+class TestFraming:
+    """One response per request on a persistent connection.
+
+    Each probe pipelines a second request behind one the server refuses
+    or answers without reading its body.  Were the unread bytes left on
+    the reused socket, they would be parsed as a further request and
+    answered; the server must close instead.
+    """
+
+    @pytest.fixture()
+    def server(self, engine):
+        server = _server(engine)
+        yield server
+        server.shutdown()
+
+    @pytest.mark.parametrize("header", [
+        b"Content-Length: -5",
+        b"Content-Length: +5",
+        b"Content-Length:\r\n 5",      # folded: the value is " 5"
+        b"Content-Length: abc",
+        b"Content-Length: 5\r\nContent-Length: 6",
+    ], ids=["-5", "+5", "folded-5", "abc", "two-lengths"])
+    def test_bad_content_length_is_400_and_closes(self, server, header):
+        reply = _raw(server,
+                     b"POST /predict HTTP/1.1\r\nHost: x\r\n" + header
+                     + b"\r\n\r\nGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        replies = _responses(reply)
+        assert [status for status, _, _ in replies] == [400]
+        assert replies[0][1]["Connection"] == "close"
+        assert "Content-Length" in json.loads(replies[0][2])["error"]
+        assert _http_status_count(server, "400") == 1.0
+        _assert_alive(server)
+
+    @pytest.mark.parametrize("path,status", [("/healthz", 200),
+                                             ("/nope", 404)])
+    def test_get_with_a_body_is_answered_once_and_closes(self, server,
+                                                          path, status):
+        smuggled = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = _raw(server,
+                     b"GET " + path.encode() + b" HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(smuggled)
+                     + smuggled)
+        replies = _responses(reply)
+        assert [code for code, _, _ in replies] == [status]
+        assert replies[0][1]["Connection"] == "close"
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        # refused on the header: the 300 body bytes and the GET behind
+        # them stay unread
+        (b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 300\r\n\r\n" + b" " * 300
+         + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 413),
+        # the body ends before its Content-Length (the client half-closes)
+        (b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 50\r\n\r\n{\"node_ids\": [0]}", 400),
+    ], ids=["oversized", "truncated"])
+    def test_unread_body_reply_closes(self, engine, request_bytes, status):
+        server = _server(engine, max_body_bytes=256)
+        try:
+            replies = _responses(_raw(server, request_bytes))
+            assert [code for code, _, _ in replies] == [status]
+            assert replies[0][1]["Connection"] == "close"
+            _assert_alive(server)
+        finally:
+            server.shutdown()
+
+    def test_shed_post_with_a_pipelined_request_gets_one_response(
+            self, engine):
+        hold = FaultPlan([FaultRule(site="engine.flush", action="delay",
+                                    latency_ms=1000, max_hits=1)])
+        server = _server(engine, max_inflight=1, max_queue=0)
+        try:
+            with armed(hold, export_env=False):
+                holder = threading.Thread(
+                    target=_post, args=(server, "/predict",
+                                        {"node_ids": [0]}))
+                holder.start()
+                deadline = time.monotonic() + 10
+                while (server.admission.inflight < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                body = b'{"node_ids": [1]}'
+                reply = _raw(server,
+                             b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body
+                             + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                holder.join(timeout=10)
+            replies = _responses(reply)
+            assert [status for status, _, _ in replies] == [503]
+            assert replies[0][1]["Connection"] == "close"
+            assert "queue-full" in json.loads(replies[0][2])["error"]
+        finally:
+            server.shutdown()
+
+
+class TestKeepAlive:
+    def test_concurrent_keep_alive_clients_match_the_engine(self, engine):
+        n = engine.dataset.graph.num_nodes_of(engine.bundle.target_type)
+        batches = [[[int(i) for i in np.random.default_rng(
+            8 * client + request).integers(0, n, size=5)]
+            for request in range(4)] for client in range(8)]
+
+        def answer(ids):
+            results = engine.predict_batch(ids)
+            return {"node_ids": ids,
+                    "predictions": [e["prediction"] for e in results],
+                    "labels": [e["label"] for e in results]}
+
+        expected = [[answer(ids) for ids in client] for client in batches]
+        server = _server(engine)
+        answers = [[] for _ in batches]
+        sockets = [set() for _ in batches]
+
+        def client(slot):
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                for ids in batches[slot]:
+                    conn.request("POST", "/predict",
+                                 json.dumps({"node_ids": ids}),
+                                 {"Content-Type": "application/json"})
+                    reply = conn.getresponse()
+                    answers[slot].append((reply.status,
+                                          json.loads(reply.read())))
+                    sockets[slot].add(id(conn.sock))
+            finally:
+                conn.close()
+
+        try:
+            threads = [threading.Thread(target=client, args=(slot,))
+                       for slot in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            server.shutdown()
+        for slot, want in enumerate(expected):
+            assert answers[slot] == [(200, body) for body in want]
+            assert len(sockets[slot]) == 1  # every request on one socket
+
+    def test_pipelined_requests_are_answered_in_order(self, engine):
+        server = _server(engine)
+        try:
+            requests = b""
+            for ids in ([3], [0, 1], [2]):
+                body = json.dumps({"node_ids": ids}).encode()
+                requests += (b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body)
+            replies = _responses(_raw(server, requests))
+        finally:
+            server.shutdown()
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        assert [json.loads(body)["node_ids"] for _, _, body in replies] == [
+            [3], [0, 1], [2]]
+        assert all(headers["Connection"] is None
+                   for _, headers, _ in replies)
+
+
+class TestIdleTimeout:
+    def test_silent_connections_are_closed_and_counted(self, engine,
+                                                       monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        server = _server(engine)
+
+        def timeouts():
+            series = engine.metrics.snapshot()["http_idle_timeouts_total"]
+            return sum(series["samples"].values())
+
+        try:
+            # headers that never finish: closed without a reply
+            assert _raw(server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                        shutdown_write=False) == b""
+            assert timeouts() == 1
+            # a served request, then silence on the kept-alive socket
+            replies = _responses(_raw(
+                server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+                shutdown_write=False))
+            assert [status for status, _, _ in replies] == [200]
+            assert timeouts() == 2
+            # a body that stops part-way: 408, then closed
+            replies = _responses(_raw(
+                server, b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: 20\r\n\r\n{\"node",
+                shutdown_write=False))
+            assert [status for status, _, _ in replies] == [408]
+            assert replies[0][1]["Connection"] == "close"
+            assert timeouts() == 3
+            _assert_alive(server)
+        finally:
+            server.shutdown()
 
 
 class TestBodyLimit:
@@ -284,6 +505,25 @@ class TestShutdown:
             assert status == 503 and "draining" in payload["error"]
             # liveness still answers during the drain window
             _assert_alive(server)
+        finally:
+            server.shutdown()
+
+    def test_unready_server_closes_kept_alive_connections(self, engine):
+        server = _server(engine)
+        try:
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.getheader("Connection") is None  # kept alive
+            server.set_ready(False)
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200
+            assert reply.getheader("Connection") == "close"
+            conn.close()
         finally:
             server.shutdown()
 

@@ -161,92 +161,3 @@ class TestEndToEnd:
                                DatasetSpec("imdb", "tiny", 0), "gcn",
                                AutoACConfig())
 
-
-class TestMmapLoad:
-    """``ModelBundle.load(mmap_mode="r")``: zero-copy page sharing.
-
-    The compressed archive is unpacked once into a ``<bundle>.npz.mmap/``
-    sidecar of raw ``.npy`` files; every load after that maps the same
-    files, so a second load shares pages with the first instead of
-    allocating a second full-size copy — the property the preforked
-    serving tier relies on.
-    """
-
-    def test_mmap_load_matches_eager_load_exactly(self, tiny_bundle):
-        eager = ModelBundle.load(tiny_bundle["path"])
-        mapped = ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        for name in ("assignment", "cluster_labels", "completed"):
-            np.testing.assert_array_equal(np.asarray(getattr(mapped, name)),
-                                          getattr(eager, name))
-            assert getattr(mapped, name).dtype == getattr(eager, name).dtype
-        for attribute in ("model_state", "features_state"):
-            saved, reread = getattr(eager, attribute), getattr(mapped, attribute)
-            assert set(saved) == set(reread)
-            for key in saved:
-                np.testing.assert_array_equal(np.asarray(reread[key]),
-                                              saved[key])
-        assert mapped.manifest() == eager.manifest()
-
-    def test_second_load_shares_pages_not_a_second_allocation(self,
-                                                              tiny_bundle):
-        first = ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        second = ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        for bundle in (first, second):
-            assert isinstance(bundle.completed, np.memmap)
-            assert not bundle.completed.flags.writeable
-        # both loads map the SAME backing file (one physical copy of the
-        # pages, shared by the OS) rather than owning private buffers
-        assert Path(first.completed.filename).samefile(
-            Path(second.completed.filename))
-        for key in first.model_state:
-            if first.model_state[key].size == 0:
-                continue
-            assert isinstance(first.model_state[key], np.memmap)
-            assert Path(first.model_state[key].filename).samefile(
-                Path(second.model_state[key].filename))
-
-    def test_unpack_happens_once(self, tiny_bundle):
-        ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        cache = ModelBundle._mmap_cache_dir(Path(tiny_bundle["path"]))
-        probe = cache / "arrays" / "completed.npy"
-        stamp_before = probe.stat().st_mtime_ns
-        ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        assert probe.stat().st_mtime_ns == stamp_before
-
-    def test_replaced_archive_rebuilds_the_cache(self, tiny_bundle, tmp_path):
-        path = tmp_path / "replace_me.npz"
-        bundle = tiny_bundle["bundle"]
-        bundle.save(path)
-        mapped = ModelBundle.load(path, mmap_mode="r")
-        np.testing.assert_array_equal(np.asarray(mapped.completed),
-                                      bundle.completed)
-        # replace the archive with different contents at the same path
-        import dataclasses
-        changed = dataclasses.replace(
-            bundle, completed=bundle.completed + 1.0)
-        changed.save(path)
-        remapped = ModelBundle.load(path, mmap_mode="r")
-        np.testing.assert_array_equal(np.asarray(remapped.completed),
-                                      bundle.completed + 1.0)
-
-    def test_mmap_engine_predictions_match_eager_engine(self, tiny_bundle):
-        mapped = ModelBundle.load(tiny_bundle["path"], mmap_mode="r")
-        engine = InferenceEngine(mapped, dataset=tiny_bundle["dataset"])
-        n = engine.dataset.graph.num_nodes_of(mapped.target_type)
-        np.testing.assert_array_equal(engine.predict(np.arange(n)),
-                                      tiny_bundle["reference"])
-
-    def test_invalid_mmap_mode_rejected(self, tiny_bundle):
-        with pytest.raises(ValueError, match="mmap_mode"):
-            ModelBundle.load(tiny_bundle["path"], mmap_mode="r+")
-
-    def test_torn_archive_rejected_before_cache_build(self, tiny_bundle,
-                                                      tmp_path):
-        from repro.serving import BundleIntegrityError
-
-        torn = tmp_path / "torn.npz"
-        data = Path(tiny_bundle["path"]).read_bytes()
-        torn.write_bytes(data[:len(data) // 2])
-        with pytest.raises(BundleIntegrityError):
-            ModelBundle.load(torn, mmap_mode="r")
-        assert not ModelBundle._mmap_cache_dir(torn).exists()

@@ -1,8 +1,10 @@
-"""The preforked serving tier: parity, coalescing, writes, recovery.
+"""The serving tier as deployed: ``repro serve`` in its own process.
 
-Everything here runs REAL worker processes forked from a template
-engine over the mmap-backed tiny bundle — the tests talk to the tier
-exclusively through its HTTP front, like a client would.  The oracle is
+Everything here starts REAL ``python -m repro serve`` processes on the
+tiny bundle and talks to them exclusively over HTTP, like a client
+would: parity, error mapping, framing on the wire, admission limits,
+onboarding, crash recovery from the onboarding WAL and the ``serve``
+flags that configure logging, tracing and deadlines.  The oracle is
 always the single-process path: ``tiny_bundle["reference"]`` for base
 predictions, a local :class:`InferenceEngine` for onboarding parity.
 """
@@ -10,82 +12,139 @@ predictions, a local :class:`InferenceEngine` for onboarding parity.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
-import multiprocessing
 import os
+import re
 import signal
 import socket
+import subprocess
+import sys
+import tempfile
 import threading
-import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, FaultRule, armed
-from repro.serving import (
-    FrontendConfig,
-    InferenceEngine,
-    ModelBundle,
-    ServingTier,
-    TierConfig,
-)
+from repro.serving import InferenceEngine, ModelBundle
 from repro.telemetry import parse_prometheus
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the serving tier needs the fork start method")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-# generous per-request budget: these tests run on arbitrarily slow CI
-DEADLINE_MS = 60_000.0
+# generous per-step budget: these tests run on arbitrarily slow CI
+TIMEOUT_S = 120
+
+
+class _Served:
+    """One ``repro serve`` process and the address it listens on."""
+
+    def __init__(self, process, url, banner, log):
+        self.process = process
+        self.url = url
+        host, port = url[len("http://"):].rsplit(":", 1)
+        self.address = (host, int(port))
+        #: what the process printed up to and including its address
+        self.banner = banner
+        self._log = log
+
+    def stderr(self) -> str:
+        self._log.seek(0)
+        return self._log.read().decode(errors="replace")
+
+    def drain(self) -> int:
+        """SIGTERM the process and return its exit code."""
+        self.process.send_signal(signal.SIGTERM)
+        return self.process.wait(timeout=TIMEOUT_S)
 
 
 @contextlib.contextmanager
-def _tier(bundle_path, *, workers=2, wal_path=None, mmap=True,
-          frontend=None):
-    tier = ServingTier(
-        bundle_path,
-        TierConfig(workers=workers, mmap=mmap, wal_path=wal_path),
-        frontend_config=frontend or FrontendConfig(deadline_ms=DEADLINE_MS))
-    tier.start_background()
+def _serve(bundle_path, *args):
+    """Start ``repro serve --port 0``, yield it, SIGTERM-drain it."""
+    log = tempfile.TemporaryFile()
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--bundle",
+         str(bundle_path), "--port", "0", *map(str, args)],
+        stdout=subprocess.PIPE, stderr=log,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    # a process that never prints its address must not hang the suite
+    watchdog = threading.Timer(TIMEOUT_S, process.kill)
+    watchdog.start()
     try:
-        yield tier
+        url, banner = None, []
+        for line in process.stdout:
+            banner.append(line.decode())
+            match = re.search(rb"at (http://\S+:\d+) ", line)
+            if match:
+                url = match.group(1).decode()
+                break
+        watchdog.cancel()
+        if url is None:
+            log.seek(0)
+            raise AssertionError(log.read().decode(errors="replace"))
+        yield _Served(process, url, "".join(banner), log)
     finally:
-        tier.shutdown()
+        watchdog.cancel()
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+        process.stdout.close()
+        log.close()
 
 
-def _post(url, path, payload, timeout=120):
+def _post(url, path, payload):
     body = json.dumps(payload).encode()
     request = urllib.request.Request(
         url + path, data=body,
         headers={"Content-Type": "application/json"})
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.urlopen(request,
+                                    timeout=TIMEOUT_S) as response:
             return response.status, json.loads(response.read()), dict(
                 response.headers)
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
 
 
-def _get(url, path, timeout=120):
+def _get(url, path):
     try:
-        with urllib.request.urlopen(url + path, timeout=timeout) as response:
+        with urllib.request.urlopen(url + path,
+                                    timeout=TIMEOUT_S) as response:
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
 
 
 def _raw(address, data: bytes) -> bytes:
-    """Ship raw bytes at the front, return everything until it closes."""
-    with socket.create_connection(address, timeout=60) as sock:
+    """Ship raw bytes at the server, return everything until it closes."""
+    with socket.create_connection(address, timeout=TIMEOUT_S) as sock:
         sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
         chunks = []
-        while True:
-            chunk = sock.recv(4096)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)
+        try:
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            # a server closing with request bytes unread may reset the
+            # socket after its reply; what arrived before still counts
+            pass
+        return b"".join(chunks)
+
+
+def _status_count(url, status: str) -> float:
+    samples = parse_prometheus(_get(url, "/metrics")[1].decode())["samples"]
+    return sum(value for (name, labels), value in samples.items()
+               if name == "http_requests_total"
+               and ("status", status) in labels)
 
 
 def _predictions(url, node_ids):
@@ -101,241 +160,204 @@ def _onboard_movie(url, dataset, actor_ids, fill):
     status, body, _ = _post(url, "/onboard", {
         "node_type": "movie",
         "edges": {"movie:stars:actor": [int(i) for i in actor_ids]},
-        "raw_features": [fill] * raw_dim})
+        "features": [fill] * raw_dim})
     return status, body
 
 
 class TestTierServing:
-    def test_parity_with_single_process_reference(self, tiny_bundle):
+    @pytest.fixture(scope="class")
+    def tier(self, tiny_bundle):
+        """One read-only process shared by the class (nothing onboards)."""
+        with _serve(tiny_bundle["path"]) as served:
+            yield served
+
+    def test_parity_with_single_process_reference(self, tiny_bundle, tier):
         reference = tiny_bundle["reference"]
-        with _tier(tiny_bundle["path"]) as tier:
-            served = _predictions(tier.url, range(len(reference)))
+        served = _predictions(tier.url, range(len(reference)))
         np.testing.assert_array_equal(np.asarray(served), reference)
 
-    def test_concurrent_clients_all_get_correct_answers(self, tiny_bundle):
+    def test_concurrent_clients_all_get_correct_answers(self, tiny_bundle,
+                                                        tier):
         reference = tiny_bundle["reference"]
-        ids = [[int(i) for i in np.random.default_rng(worker).integers(
-            0, len(reference), size=5)] for worker in range(8)]
-        results = [None] * len(ids)
-        with _tier(tiny_bundle["path"]) as tier:
-            def query(slot):
-                results[slot] = _predictions(tier.url, ids[slot])
-            threads = [threading.Thread(target=query, args=(slot,))
-                       for slot in range(len(ids))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        for slot, batch in enumerate(ids):
-            assert results[slot] == [int(reference[i]) for i in batch]
+        ids = [[[int(i) for i in np.random.default_rng(
+            8 * client + request).integers(0, len(reference), size=5)]
+            for request in range(4)] for client in range(8)]
+        results = [[] for _ in ids]
 
-    def test_http_error_mapping(self, tiny_bundle):
-        with _tier(tiny_bundle["path"]) as tier:
-            url = tier.url
-            assert _get(url, "/healthz")[0] == 200
-            assert _get(url, "/readyz")[0] == 200
-            assert _get(url, "/nope")[0] == 404
-            assert _get(url, "/predict")[0] == 405  # GET on a POST path
-            status, body, _ = _post(url, "/predict", {"node_ids": []})
-            assert status == 400
-            status, body, _ = _post(url, "/predict",
-                                    {"node_ids": [10 ** 9]})
-            assert status == 400
-            assert "out of range" in body["error"]
-            # still serving after every error
-            assert _predictions(url, [0]) is not None
+        def client(slot):
+            # each client keeps one connection alive for all its requests
+            conn = http.client.HTTPConnection(*tier.address,
+                                              timeout=TIMEOUT_S)
+            try:
+                for batch in ids[slot]:
+                    conn.request("POST", "/predict",
+                                 json.dumps({"node_ids": batch}),
+                                 {"Content-Type": "application/json"})
+                    reply = conn.getresponse()
+                    results[slot].append(
+                        (reply.status, json.loads(reply.read())))
+            finally:
+                conn.close()
 
-    def test_non_integer_ids_are_400(self, tiny_bundle):
-        with _tier(tiny_bundle["path"], workers=1) as tier:
-            for ids in ([1.75], [True], ["1"], [[1]], [None]):
-                status, body, _ = _post(tier.url, "/predict",
-                                        {"node_ids": ids})
-                assert status == 400, ids
-                assert "integers" in body["error"]
-            # a bad entry coalesced with good ones fails alone
-            assert _predictions(tier.url, [1]) == [
-                int(tiny_bundle["reference"][1])]
+        threads = [threading.Thread(target=client, args=(slot,))
+                   for slot in range(len(ids))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=TIMEOUT_S)
+        for slot, batches in enumerate(ids):
+            assert [(status, body["predictions"])
+                    for status, body in results[slot]] == [
+                (200, [int(reference[i]) for i in batch])
+                for batch in batches]
+
+    def test_http_error_mapping(self, tier):
+        url = tier.url
+        assert _get(url, "/healthz")[0] == 200
+        assert _get(url, "/readyz")[0] == 200
+        assert _get(url, "/nope")[0] == 404
+        assert _get(url, "/predict")[0] == 404  # no GET route there
+        status, body, _ = _post(url, "/predict", {"node_ids": []})
+        assert (status, body["predictions"]) == (200, [])
+        status, body, _ = _post(url, "/predict", {})
+        assert status == 400
+        assert "node_ids" in body["error"]
+        status, body, _ = _post(url, "/predict", {"node_ids": [10 ** 9]})
+        assert status == 400
+        assert "out of range" in body["error"]
+        # still serving after every error
+        assert _predictions(url, [0]) is not None
+
+    def test_non_integer_ids_are_400(self, tiny_bundle, tier):
+        for ids in ([1.75], [True], ["1"], [[1]], [None]):
+            status, body, _ = _post(tier.url, "/predict", {"node_ids": ids})
+            assert status == 400, ids
+            assert "integers" in body["error"]
+        assert _predictions(tier.url, [1]) == [
+            int(tiny_bundle["reference"][1])]
 
     @pytest.mark.parametrize("length", [b"-5", b"abc"])
-    def test_bad_content_length_is_400_and_closes(self, tiny_bundle,
-                                                   length):
-        with _tier(tiny_bundle["path"], workers=1) as tier:
-            reply = _raw(tier.address,
-                         b"POST /predict HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: " + length + b"\r\n\r\n")
-            head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
-            assert head[0] == b"HTTP/1.1 400 Bad Request"
-            assert b"Connection: close" in head
-            assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
-            status, text = _get(tier.url, "/metrics")
-        samples = parse_prometheus(text.decode())["samples"]
-        assert sum(value for (name, labels), value in samples.items()
-                   if name == "http_requests_total"
-                   and ("status", "400") in labels) == 1.0
+    def test_bad_content_length_is_400_and_closes(self, tier, length):
+        before = _status_count(tier.url, "400")
+        # the GET pipelined behind the bad request must not be answered
+        reply = _raw(tier.address,
+                     b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n"
+                     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.count(b"HTTP/1.") == 1
+        head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in head
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+        assert _status_count(tier.url, "400") == before + 1
 
-    def test_chunked_body_is_501_and_closes(self, tiny_bundle):
+    def test_chunked_body_is_501_and_closes(self, tier):
+        before = _status_count(tier.url, "501")
         # the chunk bytes and the GET behind them must not be answered
         # as further requests on the same socket
-        with _tier(tiny_bundle["path"], workers=1) as tier:
-            reply = _raw(tier.address,
-                         b"POST /predict HTTP/1.1\r\nHost: x\r\n"
-                         b"Transfer-Encoding: chunked\r\n\r\n"
-                         b"11\r\n{\"node_ids\": [0]}\r\n0\r\n\r\n"
-                         b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-            assert reply.count(b"HTTP/1.") == 1
-            head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
-            assert head[0] == b"HTTP/1.1 501 Not Implemented"
-            assert b"Connection: close" in head
+        reply = _raw(tier.address,
+                     b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                     b"Transfer-Encoding: chunked\r\n\r\n"
+                     b"11\r\n{\"node_ids\": [0]}\r\n0\r\n\r\n"
+                     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.count(b"HTTP/1.") == 1
+        head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0] == b"HTTP/1.1 501 Not Implemented"
+        assert b"Connection: close" in head
+        assert _status_count(tier.url, "501") == before + 1
+
+    def test_metrics_count_the_requests_served(self, tier):
+        def predict_counts():
             status, text = _get(tier.url, "/metrics")
-        samples = parse_prometheus(text.decode())["samples"]
-        assert sum(value for (name, labels), value in samples.items()
-                   if name == "http_requests_total"
-                   and ("status", "501") in labels) == 1.0
+            assert status == 200
+            samples = parse_prometheus(text.decode())["samples"]
+            return [sum(value for (name, labels), value in samples.items()
+                        if name == wanted and ("path", "/predict") in labels
+                        and ("status", "400") not in labels)
+                    for wanted in ("http_requests_total",
+                                   "http_request_seconds_count")]
+
+        before = predict_counts()
+        _predictions(tier.url, [0, 1, 2])
+        _predictions(tier.url, [3])
+        after = predict_counts()
+        assert [b - a for a, b in zip(before, after)] == [2.0, 2.0]
 
     def test_oversized_body_is_rejected(self, tiny_bundle):
-        frontend = FrontendConfig(deadline_ms=DEADLINE_MS,
-                                  max_body_bytes=256)
-        with _tier(tiny_bundle["path"], frontend=frontend) as tier:
+        with _serve(tiny_bundle["path"], "--max-body-bytes", 256) as tier:
             status, body, _ = _post(tier.url, "/predict",
                                     {"node_ids": list(range(1000))})
             assert status == 413
+            assert _predictions(tier.url, [0]) == [
+                int(tiny_bundle["reference"][0])]
 
     def test_queue_full_sheds_with_retry_after(self, tiny_bundle):
-        frontend = FrontendConfig(deadline_ms=DEADLINE_MS, max_queue=2)
-        with _tier(tiny_bundle["path"], workers=1,
-                   frontend=frontend) as tier:
-            status, body, headers = _post(tier.url, "/predict",
-                                          {"node_ids": [0, 1, 2]})
-            assert status == 503
-            assert body["reason"] == "queue-full"
-            assert "Retry-After" in headers
+        # the first answer is held for a second; with one request in
+        # flight and no queue, the others arriving meanwhile are shed
+        hold = json.dumps({"seed": 0, "rules": [{
+            "site": "engine.flush", "action": "delay",
+            "latency_ms": 1000, "max_hits": 1}]})
+        with _serve(tiny_bundle["path"], "--max-inflight", 1,
+                    "--max-queue", 0, "--fault-plan", hold) as tier:
+            replies = []
+            lock = threading.Lock()
+
+            def fire(node_id):
+                reply = _post(tier.url, "/predict", {"node_ids": [node_id]})
+                with lock:
+                    replies.append(reply)
+
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=TIMEOUT_S)
+            shed = [(body, headers) for status, body, headers in replies
+                    if status == 503]
+            assert len(replies) == 6
+            assert len(shed) >= 1
+            assert all("queue-full" in body["error"] for body, _ in shed)
+            assert all(int(headers["Retry-After"]) >= 1
+                       for _, headers in shed)
+            assert any(status == 200 for status, _, _ in replies)
             # a request within the bound still succeeds
             assert _predictions(tier.url, [0, 1]) == [
                 int(tiny_bundle["reference"][0]),
                 int(tiny_bundle["reference"][1])]
 
-    def test_metrics_aggregates_worker_shards(self, tiny_bundle):
-        with _tier(tiny_bundle["path"]) as tier:
-            _predictions(tier.url, [0, 1, 2])
-            _predictions(tier.url, [3])
-            status, text = _get(tier.url, "/metrics")
-            assert status == 200
-            parsed = parse_prometheus(text.decode())
-        samples = parsed["samples"]
-        engine_queries = sum(
-            value for (name, _), value in samples.items()
-            if name == "engine_queries_total")
-        assert engine_queries >= 4  # worker shards made it to the front
-        assert samples[("tier_workers_alive", ())] == 2.0
-        assert samples[("tier_batches_total", ())] >= 2.0
-        http_ok = sum(
-            value for (name, labels), value in samples.items()
-            if name == "http_requests_total"
-            and ("status", "200") in labels)
-        assert http_ok >= 2.0
-
-    def test_stats_reports_tier_shape(self, tiny_bundle):
-        with _tier(tiny_bundle["path"]) as tier:
-            status, text = _get(tier.url, "/stats")
-            assert status == 200
-            stats = json.loads(text)
-        assert stats["tier"]["workers"] == 2
-        assert stats["tier"]["writer_index"] == 0
-        assert stats["tier"]["alive"] == 2
-        assert len(stats["tier"]["pids"]) == 2
-        assert len(set(stats["tier"]["pids"])) == 2  # real distinct procs
-        roles = [worker.get("role") for worker in stats["workers"]]
-        assert roles == ["writer", "reader"]
-
-
-class TestCoalescing:
-    def test_take_batch_coalesces_and_respects_max_batch(self):
-        """Unit-level: the dispatch queue's batching rules, no processes."""
-        from repro.serving.admission import Deadline
-        from repro.serving.frontend import _Entry, TierFrontend
-
-        class _StubTier:
-            config = TierConfig(workers=1)
-
-        front = TierFrontend(_StubTier(),
-                             config=FrontendConfig(max_batch=4))
-
-        async def scenario():
-            import asyncio
-
-            front._wake = asyncio.Event()
-            loop = asyncio.get_event_loop()
-            entries = [
-                _Entry([0, 1, 2], loop.create_future(), None),
-                _Entry([3, 4], loop.create_future(), None),
-                _Entry([5], loop.create_future(), None),
-                _Entry([6], loop.create_future(),
-                       Deadline.after_ms(0.0)),  # expired in the queue
-                _Entry([7], loop.create_future(), None),
-            ]
-            for entry in entries:
-                front._enqueue(entry)
-            batches = [await front._take_batch(),
-                       await front._take_batch()]
-            return entries, batches
-
-        import asyncio
-
-        entries, batches = asyncio.run(scenario())
-        # [0,1,2] rides alone (adding [3,4] would exceed max_batch=4);
-        # the expired entry is dropped at dispatch-pop, not shipped
-        assert [[e.ids for e in batch] for batch in batches] == [
-            [[0, 1, 2]], [[3, 4], [5], [7]]]
-        assert entries[3].future.done()
-        outcome, _ = entries[3].future.result()
-        assert outcome == "deadline"  # answered 504 at dispatch-pop
-
-    def test_slow_worker_coalesces_concurrent_requests(self, tiny_bundle):
-        """Integration: with ONE worker slowed by an injected delay,
-        requests that arrive while a batch is in flight must ride the
-        next micro-batch together instead of going one-by-one."""
-        plan = FaultPlan([FaultRule(site="tier.worker.loop",
-                                    action="delay", latency_ms=400.0,
-                                    keys=("predict",), max_hits=2)],
-                         seed=3)
-        queries = 8
-        with armed(plan):
-            with _tier(tiny_bundle["path"], workers=1) as tier:
-                threads = [threading.Thread(
-                    target=_predictions, args=(tier.url, [slot]))
-                    for slot in range(queries)]
-                for thread in threads:
-                    thread.start()
-                    time.sleep(0.02)  # all land inside the first delay
-                for thread in threads:
-                    thread.join(timeout=120)
-                status, text = _get(tier.url, "/metrics")
-        samples = parse_prometheus(text.decode())["samples"]
-        batches = samples[("tier_batches_total", ())]
-        assert samples[("tier_batch_queries_count", ())] == batches
-        assert batches < queries  # strictly fewer batches than queries
-        assert samples[("tier_batch_queries_sum", ())] == queries
-
 
 class TestOnboarding:
     def test_read_your_writes_through_every_worker(self, tiny_bundle):
+        """Every connection — each served by its own handler thread —
+        reads a new node as soon as its onboard returns."""
         dataset = tiny_bundle["dataset"]
         reference = tiny_bundle["reference"]
-        with _tier(tiny_bundle["path"], workers=2) as tier:
+        with _serve(tiny_bundle["path"]) as tier:
             before = _predictions(tier.url, range(len(reference)))
             status, onboarded = _onboard_movie(tier.url, dataset,
                                                [0, 1], 0.25)
             assert status == 200, onboarded
             new_id = onboarded["node_id"]
             assert new_id == len(reference)
-            # every worker serves the new node immediately — far more
-            # probes than workers, so each worker answers at least once
-            for _ in range(2 * tier.config.workers):
-                assert _predictions(tier.url, [new_id]) == [
-                    onboarded["prediction"]]
+            connections = [http.client.HTTPConnection(*tier.address,
+                                                      timeout=TIMEOUT_S)
+                           for _ in range(4)]
+            try:
+                for conn in connections:
+                    conn.request("POST", "/predict",
+                                 json.dumps({"node_ids": [new_id]}),
+                                 {"Content-Type": "application/json"})
+                for conn in connections:
+                    reply = conn.getresponse()
+                    assert reply.status == 200
+                    assert json.loads(reply.read())["predictions"] == [
+                        onboarded["prediction"]]
+            finally:
+                for conn in connections:
+                    conn.close()
             # and the base predictions never moved
-            after = _predictions(tier.url, range(len(reference)))
-            assert after == before
+            assert _predictions(tier.url, range(len(reference))) == before
 
     def test_onboard_matches_single_process_engine(self, tiny_bundle):
         dataset = tiny_bundle["dataset"]
@@ -345,7 +367,7 @@ class TestOnboarding:
         expected = local.onboard("movie", {"movie:stars:actor": [0, 1]},
                                  raw_features=np.full(raw_dim, 0.25))
         local.close()
-        with _tier(tiny_bundle["path"], workers=2) as tier:
+        with _serve(tiny_bundle["path"]) as tier:
             status, onboarded = _onboard_movie(tier.url, dataset,
                                                [0, 1], 0.25)
             assert status == 200
@@ -356,7 +378,7 @@ class TestOnboarding:
             assert served == [expected.prediction]
 
     def test_onboard_validation_errors_are_client_errors(self, tiny_bundle):
-        with _tier(tiny_bundle["path"]) as tier:
+        with _serve(tiny_bundle["path"]) as tier:
             status, body, _ = _post(tier.url, "/onboard", {})
             assert status == 400
             status, body, _ = _post(tier.url, "/onboard",
@@ -366,122 +388,103 @@ class TestOnboarding:
             assert "raw feature" in body["error"]
             # the writer is unharmed
             assert _predictions(tier.url, [0]) is not None
+            assert json.loads(_get(tier.url, "/readyz")[1])[
+                "onboarded"] == 0
 
 
 class TestRecovery:
-    @staticmethod
-    def _wait_alive(url, want, timeout_s=60.0):
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            stats = json.loads(_get(url, "/stats")[1])
-            if stats["tier"]["alive"] >= want:
-                return stats
-            time.sleep(0.1)
-        raise AssertionError(f"tier never returned to {want} workers")
-
-    def test_reader_death_is_transparent_to_clients(self, tiny_bundle,
-                                                    tmp_path):
-        dataset = tiny_bundle["dataset"]
-        reference = tiny_bundle["reference"]
-        wal = tmp_path / "onboard.wal"
-        with _tier(tiny_bundle["path"], workers=2,
-                   wal_path=wal) as tier:
-            status, onboarded = _onboard_movie(tier.url, dataset,
-                                               [0, 2], 0.5)
-            assert status == 200
-            new_id = onboarded["node_id"]
-            every_id = list(range(len(reference))) + [new_id]
-            leaderboard = _predictions(tier.url, every_id)
-
-            reader_pid = json.loads(
-                _get(tier.url, "/stats")[1])["tier"]["pids"][1]
-            os.kill(reader_pid, signal.SIGKILL)
-            # clients keep getting answers THROUGH the death window —
-            # in-flight batches requeue to the surviving worker
-            for _ in range(6):
-                assert _predictions(tier.url, [new_id, 0]) == [
-                    onboarded["prediction"], int(reference[0])]
-            stats = self._wait_alive(tier.url, 2)
-            assert stats["tier"]["deaths"] >= 1
-            assert stats["tier"]["respawns"] >= 1
-            assert reader_pid not in stats["tier"]["pids"]
-            # the respawned reader inherited the overlay from the WAL:
-            # the full leaderboard (base + onboarded) is unchanged
-            for _ in range(4):
-                assert _predictions(tier.url, every_id) == leaderboard
-
     def test_writer_death_recovers_from_wal(self, tiny_bundle, tmp_path):
+        """SIGKILL the serving process mid-life: a fresh one on the same
+        WAL replays every onboard the dead one acknowledged."""
         dataset = tiny_bundle["dataset"]
         wal = tmp_path / "onboard.wal"
-        with _tier(tiny_bundle["path"], workers=2,
-                   wal_path=wal) as tier:
+        with _serve(tiny_bundle["path"], "--wal", wal) as tier:
             status, first = _onboard_movie(tier.url, dataset, [0], 0.25)
             assert status == 200
-
-            writer_pid = json.loads(
-                _get(tier.url, "/stats")[1])["tier"]["pids"][0]
-            os.kill(writer_pid, signal.SIGKILL)
-            # the onboard that catches the death gets an honest 503;
-            # the retry lands on the respawned writer, which replayed
-            # the WAL (sequential local ids prove nothing was lost)
-            deadline = time.monotonic() + 60.0
-            while True:
-                status, second = _onboard_movie(tier.url, dataset,
-                                                [1], 0.75)
-                if status == 200:
-                    break
-                assert status == 503
-                assert time.monotonic() < deadline
-                time.sleep(0.2)
+            tier.process.kill()
+            assert tier.process.wait(timeout=TIMEOUT_S) == -signal.SIGKILL
+        with _serve(tiny_bundle["path"], "--wal", wal) as tier:
+            assert "replayed 1 onboard(s)" in tier.banner
+            assert _predictions(tier.url, [first["node_id"]]) == [
+                first["prediction"]]
+            # sequential local ids prove nothing was lost or doubled
+            status, second = _onboard_movie(tier.url, dataset, [1], 0.75)
+            assert status == 200
             assert second["node_id"] == first["node_id"] + 1
             served = _predictions(
                 tier.url, [first["node_id"], second["node_id"]])
             assert served == [first["prediction"], second["prediction"]]
 
-    def test_respawn_can_be_disabled(self, tiny_bundle):
-        tier = ServingTier(
-            tiny_bundle["path"],
-            TierConfig(workers=2, respawn=False),
-            frontend_config=FrontendConfig(deadline_ms=DEADLINE_MS))
-        tier.start_background()
-        try:
-            reader_pid = json.loads(
-                _get(tier.url, "/stats")[1])["tier"]["pids"][1]
-            os.kill(reader_pid, signal.SIGKILL)
-            # traffic still flows on the survivor; capacity just drops
-            for _ in range(4):
-                assert _predictions(tier.url, [0]) is not None
-            stats = json.loads(_get(tier.url, "/stats")[1])
-            assert stats["tier"]["alive"] == 1
-            assert stats["tier"]["respawns"] == 0
-        finally:
-            tier.shutdown()
-
-    def test_fork_fault_on_respawn_retries_within_budget(self, tiny_bundle):
-        """A respawn attempt that fails AT FORK (injected) consumes
-        respawn budget but the front keeps retrying until one sticks.
-        ``after=2`` spares the two boot-time forks; the parent-side
-        visit counter makes the THIRD fork — the first respawn — fail."""
-        plan = FaultPlan([FaultRule(site="tier.fork", action="raise",
-                                    after=2, max_hits=1)],
-                         seed=5)
-        with armed(plan, export_env=False):
-            with _tier(tiny_bundle["path"], workers=2) as tier:
-                reader_pid = json.loads(
-                    _get(tier.url, "/stats")[1])["tier"]["pids"][1]
-                os.kill(reader_pid, signal.SIGKILL)
-                for _ in range(4):
-                    assert _predictions(tier.url, [0]) is not None
-                stats = TestRecovery._wait_alive(tier.url, 2)
-        # the first respawn hit the fork fault, the second made it
-        assert stats["tier"]["deaths"] >= 1
-        assert stats["tier"]["respawns"] >= 1
-        assert stats["tier"]["spawned_total"] == 3
+    def test_sigterm_drains_and_a_restart_replays_the_wal(self, tiny_bundle,
+                                                           tmp_path):
+        dataset = tiny_bundle["dataset"]
+        wal = tmp_path / "onboard.wal"
+        with _serve(tiny_bundle["path"], "--wal", wal) as tier:
+            results = [_onboard_movie(tier.url, dataset, [i], 0.1 * i)
+                       for i in range(3)]
+            assert [status for status, _ in results] == [200] * 3
+            assert tier.drain() == 0
+        onboarded = [body for _, body in results]
+        with _serve(tiny_bundle["path"], "--wal", wal) as tier:
+            assert "replayed 3 onboard(s)" in tier.banner
+            assert json.loads(_get(tier.url, "/readyz")[1])[
+                "onboarded"] == 3
+            assert _predictions(
+                tier.url, [body["node_id"] for body in onboarded]) == [
+                body["prediction"] for body in onboarded]
 
 
-class TestEagerMode:
-    def test_tier_works_without_mmap(self, tiny_bundle):
-        reference = tiny_bundle["reference"]
-        with _tier(tiny_bundle["path"], mmap=False) as tier:
-            served = _predictions(tier.url, range(len(reference)))
-        np.testing.assert_array_equal(np.asarray(served), reference)
+class TestServeOptions:
+    """``repro serve`` flags reach the server they configure."""
+
+    def test_access_log_records_every_request(self, tiny_bundle):
+        with _serve(tiny_bundle["path"], "--access-log") as tier:
+            assert _get(tier.url, "/healthz")[0] == 200
+            assert _predictions(tier.url, [0]) is not None
+            assert _get(tier.url, "/nope")[0] == 404
+            assert tier.drain() == 0
+            records = [json.loads(line)
+                       for line in tier.stderr().splitlines()
+                       if line.startswith("{")]
+        assert [(r["kind"], r["method"], r["path"], r["status"])
+                for r in records] == [
+            ("access", "GET", "/healthz", 200),
+            ("access", "POST", "/predict", 200),
+            ("access", "GET", "/nope", 404)]
+        assert all(r["duration_ms"] >= 0 for r in records)
+
+    def test_telemetry_out_traces_every_request(self, tiny_bundle,
+                                                tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with _serve(tiny_bundle["path"], "--telemetry-out", trace) as tier:
+            trace_ids = []
+            for ids in ([0], [1, 2]):
+                request = urllib.request.Request(
+                    tier.url + "/predict",
+                    data=json.dumps({"node_ids": ids}).encode())
+                with urllib.request.urlopen(
+                        request, timeout=TIMEOUT_S) as response:
+                    trace_ids.append(response.headers["X-Trace-Id"])
+            assert tier.drain() == 0
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        roots = [span for span in spans if span["name"] == "http_request"]
+        assert [span["trace_id"] for span in roots] == trace_ids
+        assert all(span["parent_id"] is None for span in roots)
+        assert [span["attrs"]["status"] for span in roots] == [200, 200]
+        assert len(set(trace_ids)) == 2
+
+    def test_deadline_flag_answers_504(self, tiny_bundle):
+        # 50 ms budget + 500 ms injected latency at the flush site: the
+        # deadline is gone by the forward checkpoint
+        delay = json.dumps({"seed": 0, "rules": [{
+            "site": "engine.flush", "action": "delay",
+            "latency_ms": 500, "max_hits": 1}]})
+        with _serve(tiny_bundle["path"], "--deadline-ms", 50,
+                    "--fault-plan", delay) as tier:
+            status, body, _ = _post(tier.url, "/predict", {"node_ids": [0]})
+            assert status == 504
+            assert "deadline" in body["error"]
+            assert _get(tier.url, "/healthz")[0] == 200
+            # without the latency the same request fits its budget
+            assert _predictions(tier.url, [0]) == [
+                int(tiny_bundle["reference"][0])]

@@ -1,9 +1,9 @@
 """``merge_snapshots`` across REAL process boundaries (fork + spawn).
 
 The in-process tests (``tests/test_telemetry.py``) prove that merging
-thread shards equals a single registry.  The preforked serving tier
-ships snapshots over pipes from *worker processes*, so these tests pin
-the full journey: registry → ``snapshot()`` → JSON → process boundary →
+thread shards equals a single registry.  Snapshots are meant to cross
+process boundaries too (e.g. over pipes from worker processes), so
+these tests pin the full journey: registry → ``snapshot()`` → JSON → process boundary →
 ``merge_snapshots`` — including histogram-bucket addition, label-set
 union across shards, and both gauge aggregations — under both the
 ``fork`` and ``spawn`` start methods.

@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke profile report
+.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke perfbench-search profile report
 
 # Tier-1 verification (ROADMAP.md): the full test suite, fail-fast.
 verify:
@@ -56,6 +56,15 @@ serve-scale:
 # behind (see docs/ROBUSTNESS.md).
 chaos-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/chaos_smoke.py
+
+# perfbench `search` smoke (perfbench/README.md): one traced run_autoac
+# on imdb small under the fast profile; fails unless its result line
+# says "correct": true and "failed": 0.
+perfbench-search:
+	mkdir -p .perfbench
+	$(PYTHON) perfbench/run.py --workload search --seed 1 --seconds 0 --trace 1 \
+		> .perfbench/search-smoke.out
+	$(PYTHON) scripts/check_perfbench.py .perfbench/search-smoke.out
 
 # Static HTML report from the tune-smoke journal (docs/OBSERVABILITY.md).
 report:

@@ -18,6 +18,7 @@ Alternates, per epoch:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -212,26 +213,44 @@ class AutoACSearcher:
     # ------------------------------------------------------------------
     # upper level
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _alpha_only_pass(self):
+        """Scope of an upper step that needs only d loss / d alpha.
+
+        ``w`` is frozen (``requires_grad=False``) so the backward pass
+        builds no ``w`` gradients, and dropout is off: the completion
+        choice should not chase dropout noise.  On exit, even by an
+        exception, ``w`` requires grad again with no gradient held, and
+        both modules are back in training mode.
+        """
+        frozen = [p for p in self._w_params if p.requires_grad]
+        for param in frozen:
+            param.requires_grad = False
+        self.model.eval()
+        self.features.eval()
+        try:
+            yield
+        finally:
+            for param in frozen:
+                param.requires_grad = True
+            self.w_optimizer.zero_grad()
+            self.model.train()
+            self.features.train()
+
     def _upper_step_discrete(self) -> float:
         bar_alpha = self._current_discrete_rows(requires_grad=True)
         self._set_node_weights(bar_alpha)
-        # dropout off: the completion choice should not chase dropout noise
-        self.model.eval()
-        self.features.eval()
-        # detached candidates: the upper step consumes only d loss/d alpha
-        # (the dirtied w grads are discarded below), so the cached op
-        # outputs enter the graph as constants
-        with self._candidate_mode("detached"):
-            loss = self.adapter.val_loss(self.model, self.features)
-        self.model.train()
-        self.features.train()
-        loss.backward()
+        # detached candidates: w is a constant of this step, so the cached
+        # op outputs enter the graph as constants
+        with self._alpha_only_pass():
+            with self._candidate_mode("detached"):
+                loss = self.adapter.val_loss(self.model, self.features)
+            if loss.requires_grad:
+                loss.backward()
         grad = bar_alpha.grad if bar_alpha.grad is not None else \
             np.zeros_like(self.alpha.values)
         self.alpha.update(grad, self.config.alpha_lr,
                           self.config.alpha_weight_decay)
-        # the backward pass also dirtied w grads; discard them
-        self.w_optimizer.zero_grad()
         return loss.item()
 
     def _upper_step_mixture(self) -> float:
@@ -239,15 +258,12 @@ class AutoACSearcher:
         if not cfg.unrolled:
             self.mixture.logits.zero_grad()
             self._set_node_weights(self.mixture.weights())
-            self.model.eval()
-            self.features.eval()
-            with self._candidate_mode("detached"):
-                loss = self.adapter.val_loss(self.model, self.features)
-            self.model.train()
-            self.features.train()
-            loss.backward()
+            with self._alpha_only_pass():
+                with self._candidate_mode("detached"):
+                    loss = self.adapter.val_loss(self.model, self.features)
+                if loss.requires_grad:
+                    loss.backward()
             self.alpha_optimizer.step()
-            self.w_optimizer.zero_grad()
             return loss.item()
         return self._upper_step_mixture_unrolled()
 

@@ -6,15 +6,18 @@ attention residual ``alpha = (1-beta) * alpha + beta * alpha_prev`` carried
 across layers.  Final-layer outputs are L2-normalized as in the HGB
 implementation.
 
-Aggregation fast path: the attention-weighted neighborhood sum
-``out[v] = Σ_e α_e · proj[src_e]`` is expressed as a CSR×dense product
-with a *fixed* sparsity pattern (edges grouped by destination, built once
-per layer) and per-forward attention values, via
-:func:`~repro.tensor.weighted_spmm`.  This replaces the ``np.add.at``
-scatter — the slowest primitive in the engine — with compiled sparse
-matmul kernels.  ``use_sparse=False`` restores the original
-gather/scatter path; both produce identical results up to float
-summation order.
+Aggregation: the attention-weighted neighborhood sum
+``out[v] = Σ_e α_e · proj[src_e]`` is a CSR×dense product with a *fixed*
+sparsity pattern (edges grouped by destination, built once per model or
+graph view and shared by every layer) and per-forward attention values,
+via :func:`~repro.tensor.weighted_spmm`.  The same pattern's edge order
+and row offsets let :func:`~repro.tensor.segment_softmax` take its
+per-destination max with one ``np.maximum.reduceat``.
+
+Edge-type scores: ``<edge_table[etype_e], attn_edge>`` takes one value
+per edge type.  Under the fused kernels it is computed once per type and
+gathered to the edges.  That sums the ``edge_table`` gradient in another
+order, so the unfused (``reference``) path keeps the per-edge gather.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from ..tensor import (
     Parameter,
     SparseTensor,
     Tensor,
-    attention_aggregate,
     elu,
     fused_kernels_enabled,
     gather_rows,
@@ -41,7 +43,6 @@ from ..tensor import (
     init,
     l2_normalize,
     leaky_relu,
-    scatter_add,
     segment_softmax,
     weighted_spmm,
 )
@@ -68,7 +69,7 @@ class SimpleHGNLayer(Module):
                  src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
                  num_nodes: int, negative_slope: float = 0.05,
                  beta: float = 0.05, attn_dropout: float = 0.3,
-                 residual: bool = True, use_sparse: bool = True,
+                 residual: bool = True,
                  aggregation: Optional[Tuple[np.ndarray,
                                              SparseTensor]] = None) -> None:
         super().__init__()
@@ -93,54 +94,57 @@ class SimpleHGNLayer(Module):
                                    name="attn_edge")
         self.residual_proj = Linear(in_dim, out_dim, bias=False) if residual else None
         self.attn_dropout = Dropout(attn_dropout)
-        self.use_sparse = bool(use_sparse)
-        if self.use_sparse:
-            # static CSR pattern (dst rows, src cols); attention values are
-            # filled in per forward through weighted_spmm
-            if aggregation is None:
-                aggregation = build_attention_pattern(src, dst, num_nodes)
-            self._edge_order, self._pattern = aggregation
+        # static CSR pattern (dst rows, src cols); attention values are
+        # filled in per forward through weighted_spmm
+        if aggregation is None:
+            aggregation = build_attention_pattern(src, dst, num_nodes)
+        self._edge_order, self._pattern = aggregation
+
+    def edge_scores(self, etype: np.ndarray) -> Tensor:
+        """``<edge_table[etype_e], attn_edge>`` per edge and head, (E, H).
+
+        The score depends on the edge type alone.  Under the fused kernels
+        it is computed once per type and gathered to the edges, with the
+        same forward bits as a per-edge ``head_dot``; the unfused path
+        keeps the per-edge gather.
+        """
+        if fused_kernels_enabled():
+            type_score = head_dot(
+                self.edge_table.reshape(-1, self.num_heads, self.edge_dim),
+                self.attn_edge)
+            return gather_rows(type_score, etype)
+        edge_embed = gather_rows(self.edge_table, etype).reshape(
+            -1, self.num_heads, self.edge_dim)
+        return head_dot(edge_embed, self.attn_edge)
 
     def forward(self, h: Tensor, alpha_prev: Optional[Tensor] = None,
                 topo: Optional[tuple] = None):
         """One layer over the constructor topology or, for the sampled
         path, an explicit ``(src, dst, etype, num_nodes, edge_order,
-        pattern)`` tuple in view-local ids (``edge_order``/``pattern`` may
-        be None to force the gather/scatter route).  Edge-type ids are
-        shared with the full graph, so the edge-type table transfers."""
+        pattern)`` tuple in view-local ids.  Edge-type ids are shared with
+        the full graph, so the edge-type table transfers."""
         if topo is None:
             src, dst, etype, n = self.src, self.dst, self.etype, self.num_nodes
-            edge_order = self._edge_order if self.use_sparse else None
-            pattern = self._pattern if self.use_sparse else None
+            edge_order, pattern = self._edge_order, self._pattern
         else:
             src, dst, etype, n, edge_order, pattern = topo
-        projected = self.proj(h).reshape(n, self.num_heads, self.head_dim)
+        heads = self.num_heads
+        projected = self.proj(h).reshape(n, heads, self.head_dim)
         score_src = head_dot(projected, self.attn_src)
         score_dst = head_dot(projected, self.attn_dst)
-        edge_embed = gather_rows(self.edge_table, etype).reshape(
-            -1, self.num_heads, self.edge_dim)
-        score_edge = head_dot(edge_embed, self.attn_edge)  # (E, H)
         logits = leaky_relu(
             gather_rows(score_src, src) + gather_rows(score_dst, dst)
-            + score_edge,
+            + self.edge_scores(etype),
             self.negative_slope,
         )
-        alpha = segment_softmax(logits, dst, n)
+        alpha = segment_softmax(logits, dst, n,
+                                sorted_by=(edge_order, pattern.indptr))
         if alpha_prev is not None and self.beta > 0:
             alpha = alpha * (1.0 - self.beta) + alpha_prev * self.beta
         alpha = self.attn_dropout(alpha)
-        if self.use_sparse and pattern is not None:
-            alpha_sorted = gather_rows(alpha, edge_order)  # (E, H)
-            out = weighted_spmm(pattern, alpha_sorted, projected)
-            out = out.reshape(n, self.num_heads * self.head_dim)
-        elif fused_kernels_enabled():
-            out = attention_aggregate(alpha, projected, src, dst,
-                                      n).reshape(n, self.num_heads * self.head_dim)
-        else:
-            messages = gather_rows(projected, src) * alpha.reshape(
-                -1, self.num_heads, 1)
-            out = scatter_add(messages, dst, n).reshape(
-                n, self.num_heads * self.head_dim)
+        alpha_sorted = gather_rows(alpha, edge_order)  # (E, H)
+        out = weighted_spmm(pattern, alpha_sorted, projected).reshape(
+            n, heads * self.head_dim)
         if self.residual_proj is not None:
             out = out + self.residual_proj(h)
         return out, alpha
@@ -154,22 +158,19 @@ class SimpleHGN(BaseHGNN):
                  out_dim: int = 64, num_layers: int = 2, num_heads: int = 4,
                  edge_dim: int = 16, negative_slope: float = 0.05,
                  beta: float = 0.05, dropout: float = 0.5,
-                 normalize_output: bool = True,
-                 use_sparse: bool = True) -> None:
+                 normalize_output: bool = True) -> None:
         super().__init__(dataset, hidden_dim, out_dim)
         src, dst, etype, num_edge_types = edge_arrays_with_self_loops(dataset)
         n = dataset.graph.num_nodes
         self.num_layers = num_layers
         self.normalize_output = normalize_output
-        self.use_sparse = bool(use_sparse)
-        aggregation = (build_attention_pattern(src, dst, n)
-                       if use_sparse else None)
+        aggregation = build_attention_pattern(src, dst, n)
         dims = [hidden_dim] * num_layers + [out_dim]
         self.layers = ModuleList([
             SimpleHGNLayer(dims[i], dims[i + 1], num_heads, edge_dim,
                            num_edge_types, src, dst, etype, n,
                            negative_slope=negative_slope, beta=beta,
-                           use_sparse=use_sparse, aggregation=aggregation)
+                           aggregation=aggregation)
             for i in range(num_layers)
         ])
         self.dropout = Dropout(dropout)
@@ -183,12 +184,9 @@ class SimpleHGN(BaseHGNN):
         """
         src, dst, etype, _ = view.edge_arrays_with_self_loops()
         n = view.num_nodes
-        if self.use_sparse:
-            edge_order, pattern = view.cached(
-                ("attention_pattern",),
-                lambda: build_attention_pattern(src, dst, n))
-        else:
-            edge_order = pattern = None
+        edge_order, pattern = view.cached(
+            ("attention_pattern",),
+            lambda: build_attention_pattern(src, dst, n))
         return (src, dst, etype, n, edge_order, pattern)
 
     def encode(self, h0: Tensor, view: Optional[GraphView] = None) -> Tensor:

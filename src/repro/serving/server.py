@@ -260,7 +260,7 @@ def make_handler(engine: InferenceEngine,
                                 else max(deadline.remaining_s(), 0.0))
                 with admission.admit(timeout_s=queue_budget), \
                         deadline_scope(deadline):
-                    self._dispatch_post_admitted()
+                    status, body = self._dispatch_post_admitted()
             except _PayloadTooLarge as error:
                 self._reply(413, {"error": str(error)})
             except DeadlineExceeded as error:
@@ -277,20 +277,24 @@ def make_handler(engine: InferenceEngine,
                 # e.g. a backbone that cannot be rebuilt inductively during
                 # onboarding — the engine's state was rolled back, report it
                 self._reply(500, {"error": str(error)})
+            else:
+                # the slot is free before the client can read the answer,
+                # so a request it sends next is never shed by this one
+                self._reply(status, body)
 
-        def _dispatch_post_admitted(self) -> None:
+        def _dispatch_post_admitted(self) -> Tuple[int, dict]:
             payload = self._read_json()
             if self.path == "/predict":
                 node_ids = payload.get("node_ids")
                 if node_ids is None:
                     raise ValueError("missing 'node_ids'")
                 results = engine.predict_batch(node_ids)
-                self._reply(200, {
+                return 200, {
                     "node_ids": [entry["node_id"] for entry in results],
                     "predictions": [entry["prediction"]
                                     for entry in results],
                     "labels": [entry["label"] for entry in results],
-                })
+                }
             elif self.path == "/onboard":
                 node_type = payload.get("node_type")
                 if node_type is None:
@@ -302,9 +306,8 @@ def make_handler(engine: InferenceEngine,
                     result = engine.onboard(
                         node_type, payload.get("edges") or {},
                         raw_features=payload.get("features"))
-                self._reply(200, result.to_json())
-            else:
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
+                return 200, result.to_json()
+            return 404, {"error": f"unknown path {self.path!r}"}
 
         def _handle(self, method: str) -> None:
             start = time.perf_counter()

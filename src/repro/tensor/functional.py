@@ -22,7 +22,7 @@ The fast runtime profile (:mod:`repro.perf.profiles`) switches them on.
 from __future__ import annotations
 
 import contextlib
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -302,16 +302,33 @@ def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
 
 
 def segment_max_data(x: np.ndarray, segment_ids: np.ndarray,
-                     num_segments: int) -> np.ndarray:
-    """Per-segment maximum of raw data (no gradient; used as a stability shift)."""
+                     num_segments: int,
+                     sorted_by: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                     ) -> np.ndarray:
+    """Per-segment maximum of raw data (no gradient; used as a stability shift).
+
+    ``sorted_by=(order, indptr)`` is a stable sort of the entries by
+    segment and the segment offsets in that order (a CSR pattern's
+    ``indptr``).  With it one ``np.maximum.reduceat`` replaces the
+    unbuffered ``np.maximum.at``; both visit a segment's entries in the
+    same order, so the bits are the same.  Empty segments stay ``-inf``.
+    """
     out = np.full((num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
-    np.maximum.at(out, segment_ids, x)
+    if sorted_by is None:
+        np.maximum.at(out, segment_ids, x)
+        return out
+    order, indptr = sorted_by
+    starts = indptr[:-1]
+    filled = starts < indptr[1:]
+    if filled.any():
+        out[filled] = np.maximum.reduceat(x[order], starts[filled], axis=0)
     return out
 
 
 def _segment_softmax_composite(scores: Tensor, segment_ids: np.ndarray,
-                               num_segments: int) -> Tensor:
-    shift = segment_max_data(scores.data, segment_ids, num_segments)
+                               num_segments: int, sorted_by) -> Tensor:
+    shift = segment_max_data(scores.data, segment_ids, num_segments,
+                             sorted_by)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     from .tensor import exp as t_exp  # local import avoids a cycle at module load
 
@@ -323,7 +340,7 @@ def _segment_softmax_composite(scores: Tensor, segment_ids: np.ndarray,
 
 
 def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
-                           num_segments: int) -> Tensor:
+                           num_segments: int, sorted_by) -> Tensor:
     """One autograd node for the whole per-segment softmax.
 
     The composite records five nodes (sub, exp, scatter, gather, div) and
@@ -331,7 +348,8 @@ def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
     the closed form ``dL/ds_e = α_e (g_e − Σ_{e'∈seg(e)} α_{e'} g_{e'})``,
     one scatter + one gather.
     """
-    shift = segment_max_data(scores.data, segment_ids, num_segments)
+    shift = segment_max_data(scores.data, segment_ids, num_segments,
+                             sorted_by)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     exp_scores = np.exp(scores.data - shift[segment_ids])
     denom = np.zeros((num_segments,) + exp_scores.shape[1:],
@@ -352,19 +370,25 @@ def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
 
 @profiled
 def segment_softmax(scores: Tensor, segment_ids: np.ndarray,
-                    num_segments: int) -> Tensor:
+                    num_segments: int,
+                    sorted_by: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                    ) -> Tensor:
     """Softmax of ``scores`` within segments (e.g. edges grouped by dst node).
 
     The per-segment max shift is detached, which leaves gradients
     unchanged because softmax is shift invariant within each segment.
+    ``sorted_by`` — the entries' segment-sorted ``(order, indptr)`` —
+    speeds up that max (see :func:`segment_max_data`) without changing it.
     With the fused kernels enabled this is a single autograd node;
     otherwise a composite of five primitives (identical values).
     """
     scores = ensure_tensor(scores)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if _flags.fused_enabled():
-        return _segment_softmax_fused(scores, segment_ids, num_segments)
-    return _segment_softmax_composite(scores, segment_ids, num_segments)
+        return _segment_softmax_fused(scores, segment_ids, num_segments,
+                                      sorted_by)
+    return _segment_softmax_composite(scores, segment_ids, num_segments,
+                                      sorted_by)
 
 
 @profiled

@@ -59,7 +59,7 @@ class SparseTensor:
     """
 
     __slots__ = ("indptr", "indices", "values", "shape",
-                 "_transpose", "_row_of_nnz")
+                 "_transpose", "_row_of_nnz", "_head_blocks")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  values: np.ndarray, shape: Tuple[int, int]) -> None:
@@ -75,6 +75,7 @@ class SparseTensor:
             raise ValueError("indices and values must have equal length")
         self._transpose: Optional["SparseTensor"] = None
         self._row_of_nnz: Optional[np.ndarray] = None
+        self._head_blocks: dict = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -144,6 +145,40 @@ class SparseTensor:
                 np.diff(self.indptr))
         return self._row_of_nnz
 
+    def head_block(self, heads: int
+                   ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Structure of the block-diagonal ``(rows·H, cols·H)`` pattern.
+
+        Row ``r·H + h`` of the block matrix holds row ``r``'s entries for
+        head ``h`` at columns ``c·H + h``, so ``(n, H, d)`` arrays reshape
+        to its ``(n·H, d)`` operands without a copy, and each block row
+        sums its entries in this pattern's order: every product equals the
+        per-head one bit for bit.  Returns ``(indptr, indices, perm)``,
+        where ``perm`` takes a flattened ``(nnz, H)`` value array to the
+        block's entry order (``None`` for one head).  Built once per head
+        count and cached; :meth:`with_values` copies share the cache.
+        """
+        block = self._head_blocks.get(heads)
+        if block is None:
+            largest = max(self.shape[0], self.shape[1], self.nnz) * heads
+            index_dtype = np.int32 if largest < 2 ** 31 else np.int64
+            if heads == 1:
+                block = (self.indptr.astype(index_dtype),
+                         self.indices.astype(index_dtype), None)
+            else:
+                edge = np.repeat(np.arange(self.nnz, dtype=np.int64), heads)
+                head = np.tile(np.arange(heads, dtype=np.int64), self.nnz)
+                # (row, head, entry) order; flat (nnz, H) index = e·H + h
+                perm = np.lexsort((edge, head, self.row_of_nnz[edge]))
+                counts = np.repeat(np.diff(self.indptr), heads)
+                indptr = np.zeros(self.shape[0] * heads + 1, dtype=index_dtype)
+                np.cumsum(counts, out=indptr[1:])
+                indices = (self.indices[edge[perm]] * heads
+                           + head[perm]).astype(index_dtype)
+                block = (indptr, indices, perm)
+            self._head_blocks[heads] = block
+        return block
+
     def to_scipy(self) -> sp.csr_matrix:
         """Zero-copy view as a :class:`scipy.sparse.csr_matrix`."""
         return sp.csr_matrix((self.values, self.indices, self.indptr),
@@ -157,6 +192,7 @@ class SparseTensor:
         """Same sparsity pattern, new entry values (shares index arrays)."""
         out = SparseTensor(self.indptr, self.indices, values, self.shape)
         out._row_of_nnz = self._row_of_nnz
+        out._head_blocks = self._head_blocks
         return out
 
     def copy(self) -> "SparseTensor":
@@ -290,6 +326,39 @@ def spmm(matrix: SparseLike, x: Union[Tensor, np.ndarray]) -> Tensor:
     return out
 
 
+#: stored entries per chunk of the :func:`weighted_spmm` value gradient;
+#: its two ``(chunk, H, d)`` gather buffers are reused across chunks
+#: (2048 × 4 heads × 16 wide is 512 KiB per buffer in float32)
+VALUE_GRAD_CHUNK = 2048
+
+
+def edge_dots(grad: np.ndarray, x: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """``out[e] = <grad[rows[e]], x[cols[e]]>`` over the last axis.
+
+    The value gradient of :func:`weighted_spmm`.  Formed in chunks of
+    :data:`VALUE_GRAD_CHUNK` entries gathered into two reused buffers
+    instead of two full ``(nnz, ..., d)`` gathers; each chunk runs the
+    one-shot ``einsum`` on the same rows, so the result is bit-identical.
+    The indices must be in range (``mode="clip"`` lets ``np.take`` write
+    straight into the buffers).
+    """
+    nnz = rows.shape[0]
+    spec = "ehd,ehd->eh" if grad.ndim == 3 else "ed,ed->e"
+    out = np.empty((nnz,) + grad.shape[1:-1], dtype=np.result_type(grad, x))
+    size = max(1, min(nnz, VALUE_GRAD_CHUNK))
+    grad_buf = np.empty((size,) + grad.shape[1:], dtype=grad.dtype)
+    x_buf = np.empty((size,) + x.shape[1:], dtype=x.dtype)
+    for start in range(0, nnz, size):
+        stop = min(start + size, nnz)
+        count = stop - start
+        np.take(grad, rows[start:stop], axis=0, out=grad_buf[:count],
+                mode="clip")
+        np.take(x, cols[start:stop], axis=0, out=x_buf[:count], mode="clip")
+        np.einsum(spec, grad_buf[:count], x_buf[:count], out=out[start:stop])
+    return out
+
+
 @profiled
 def weighted_spmm(pattern: SparseTensor, values: Tensor, x: Tensor) -> Tensor:
     """``A(values) @ x`` with a fixed sparsity pattern and learnable values.
@@ -305,9 +374,11 @@ def weighted_spmm(pattern: SparseTensor, values: Tensor, x: Tensor) -> Tensor:
     * ``values``: ``(nnz, H)`` with ``x``: ``(cols, H, d)`` → ``(rows, H, d)``
       (one independent product per head ``h``).
 
-    Both ``values`` and ``x`` are differentiable; ``pattern``'s structure
-    and stored values are ignored as data (only ``indptr``/``indices``
-    matter).
+    All heads run as one product with the block-diagonal matrix of
+    :meth:`SparseTensor.head_block`, in each direction; the value
+    gradient comes from :func:`edge_dots`.  Both ``values`` and ``x`` are
+    differentiable; ``pattern``'s structure and stored values are ignored
+    as data (only ``indptr``/``indices`` matter).
     """
     values = ensure_tensor(values)
     x = ensure_tensor(x)
@@ -319,58 +390,34 @@ def weighted_spmm(pattern: SparseTensor, values: Tensor, x: Tensor) -> Tensor:
         raise ValueError(
             f"got {values.data.shape[0]} values for a pattern with "
             f"{pattern.nnz} stored entries")
-    indices, indptr = pattern.indices, pattern.indptr
-    rows = pattern.shape[0]
-    row_of_nnz = pattern.row_of_nnz
-
-    def forward_data(vals: np.ndarray, dense: np.ndarray) -> np.ndarray:
-        mat = sp.csr_matrix((vals, indices, indptr),
-                            shape=(rows, dense.shape[0]))
-        return mat @ dense
-
-    multi_head = values.data.ndim == 2
-    if multi_head:
+    if values.data.ndim == 2:
         if x.data.ndim != 3 or x.data.shape[1] != values.data.shape[1]:
             raise ValueError(
                 f"multi-head weighted_spmm needs values (nnz, H) and "
                 f"x (cols, H, d); got {values.shape} and {x.shape}")
-        heads = values.data.shape[1]
-        out_data = np.empty((rows, heads, x.data.shape[2]),
-                            dtype=np.result_type(values.data, x.data))
-        for h in range(heads):
-            out_data[:, h, :] = forward_data(values.data[:, h], x.data[:, h, :])
-    else:
-        if x.data.ndim != 2:
-            raise ValueError("weighted_spmm needs a 2-D dense operand")
-        out_data = forward_data(values.data, x.data)
-
+    elif x.data.ndim != 2:
+        raise ValueError("weighted_spmm needs a 2-D dense operand")
+    heads = values.data.shape[1] if values.data.ndim == 2 else 1
+    rows, cols = pattern.shape
+    width = x.data.shape[-1]
+    indptr, indices, perm = pattern.head_block(heads)
+    data = values.data.reshape(-1)
+    if perm is not None:
+        data = data[perm]
+    block = sp.csr_matrix((data, indices, indptr),
+                          shape=(rows * heads, cols * heads))
+    out_data = (block @ x.data.reshape(cols * heads, width)).reshape(
+        (rows,) + x.data.shape[1:])
     out = Tensor(out_data, requires_grad=is_grad_enabled()
                  and (values.requires_grad or x.requires_grad))
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
-            if multi_head:
-                if values.requires_grad:
-                    # dL/dw[e,h] = <grad[row_e, h], x[col_e, h]>
-                    gv = np.einsum("ehd,ehd->eh", grad[row_of_nnz],
-                                   x.data[indices])
-                    values.accumulate_grad(gv)
-                if x.requires_grad:
-                    gx = np.empty_like(x.data)
-                    for h in range(x.data.shape[1]):
-                        mat = sp.csr_matrix(
-                            (values.data[:, h], indices, indptr),
-                            shape=(rows, x.data.shape[0]))
-                        gx[:, h, :] = mat.T @ grad[:, h, :]
-                    x.accumulate_grad(gx)
-            else:
-                if values.requires_grad:
-                    gv = np.einsum("ed,ed->e", grad[row_of_nnz],
-                                   x.data[indices])
-                    values.accumulate_grad(gv)
-                if x.requires_grad:
-                    mat = sp.csr_matrix((values.data, indices, indptr),
-                                        shape=(rows, x.data.shape[0]))
-                    x.accumulate_grad(mat.T @ grad)
+            if values.requires_grad:
+                values.accumulate_grad(edge_dots(
+                    grad, x.data, pattern.row_of_nnz, pattern.indices))
+            if x.requires_grad:
+                gx = block.T @ grad.reshape(rows * heads, width)
+                x.accumulate_grad(gx.reshape(x.data.shape))
         out._rig((values, x), backward)
     return out
 

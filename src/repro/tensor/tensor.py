@@ -237,11 +237,28 @@ class Tensor:
         return self
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        A leaf owns a private array (optimizers and ``clip_grad_norm``
+        update it in place).  A non-leaf's gradient is only read by its
+        own backward and then released, so its first gradient is kept
+        without a copy when dtype and shape match.  That array may be
+        shared with a sibling, so a second gradient is summed into a
+        fresh array, never in place.
+        """
+        leaf = self._backward_fn is None
         if self.grad is None:
-            # ``grad + 0.0`` in one pass: bit-equal to zeros-then-add
-            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
-        else:
+            if (not leaf and isinstance(grad, np.ndarray)
+                    and grad.dtype == self.data.dtype
+                    and grad.shape == self.data.shape):
+                self.grad = grad
+            else:
+                # ``grad + 0.0`` in one pass: bit-equal to zeros-then-add
+                self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        elif leaf:
             self.grad += grad
+        else:
+            self.grad = np.add(self.grad, grad, out=np.empty_like(self.data))
 
     def zero_grad(self) -> None:
         self.grad = None

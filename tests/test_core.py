@@ -261,6 +261,86 @@ class TestSearcher:
         assert result.assignment.shape == (n_missing,)
 
 
+class TestUpperStepFrozenW:
+    """The upper steps that discard w gradients run with w frozen."""
+
+    @staticmethod
+    def _searcher(dataset, **overrides):
+        set_seed(0)
+        config = AutoACConfig(search_epochs=2, num_clusters=3,
+                              warmup_epochs=0, **overrides)
+        searcher = AutoACSearcher(NodeClassificationAdapter(dataset),
+                                  "simple_hgn", config, seed=0)
+        searcher._lower_step()  # leaves w gradients behind, as in a search
+        return searcher
+
+    @staticmethod
+    def _upper_step(searcher):
+        if searcher.config.discrete:
+            return searcher._upper_step_discrete()
+        return searcher._upper_step_mixture()
+
+    @staticmethod
+    def _assert_w_restored(searcher):
+        assert all(p.requires_grad for p in searcher._w_params)
+        assert all(p.grad is None for p in searcher._w_params)
+        assert searcher.model.training and searcher.features.training
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_w_frozen_during_the_step_and_restored_after(self, imdb_tiny,
+                                                         discrete):
+        searcher = self._searcher(imdb_tiny, discrete=discrete,
+                                  unrolled=False)
+        val_loss = searcher.adapter.val_loss
+        flags = []
+
+        def spy(model, features):
+            flags.extend(p.requires_grad for p in searcher._w_params)
+            return val_loss(model, features)
+
+        searcher.adapter.val_loss = spy
+        before = (searcher.alpha.values.copy() if discrete
+                  else searcher.mixture.logits.data.copy())
+        assert np.isfinite(self._upper_step(searcher))
+        after = (searcher.alpha.values if discrete
+                 else searcher.mixture.logits.data)
+        assert flags and not any(flags)
+        assert not np.array_equal(before, after)  # alpha still got a grad
+        self._assert_w_restored(searcher)
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_w_restored_when_val_loss_raises(self, imdb_tiny, discrete,
+                                             monkeypatch):
+        searcher = self._searcher(imdb_tiny, discrete=discrete,
+                                  unrolled=False)
+
+        def fail(model, features):
+            raise RuntimeError("val_loss failed")
+
+        monkeypatch.setattr(searcher.adapter, "val_loss", fail)
+        with pytest.raises(RuntimeError, match="val_loss failed"):
+            self._upper_step(searcher)
+        self._assert_w_restored(searcher)
+
+    def test_frozen_w_leaves_the_alpha_step_bit_identical(self, imdb_tiny):
+        frozen = self._searcher(imdb_tiny)
+        frozen._upper_step_discrete()
+        # the same step with w live: its w gradients are built, then dropped
+        live = self._searcher(imdb_tiny)
+        live.w_optimizer.zero_grad()
+        bar_alpha = live._current_discrete_rows(requires_grad=True)
+        live._set_node_weights(bar_alpha)
+        live.model.eval()
+        live.features.eval()
+        with live._candidate_mode("detached"):
+            loss = live.adapter.val_loss(live.model, live.features)
+        loss.backward()
+        assert any(p.grad is not None for p in live._w_params)
+        live.alpha.update(bar_alpha.grad, live.config.alpha_lr,
+                          live.config.alpha_weight_decay)
+        assert frozen.alpha.values.tobytes() == live.alpha.values.tobytes()
+
+
 class TestPipeline:
     def test_run_autoac_end_to_end(self, imdb_tiny):
         set_seed(0)

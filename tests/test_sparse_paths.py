@@ -1,9 +1,10 @@
 """Sparse fast path vs dense fallback: equivalence and caching.
 
-The CSR propagation path must be a pure optimization — every consumer
-(completion ops, GCN, SimpleHGN) exposes a dense fallback flag, and this
-module pins down that both paths produce the same numbers on seeded
-small graphs.
+The CSR propagation path must be a pure optimization.  The completion
+ops and GCN expose a dense fallback flag, and this module pins down that
+both paths produce the same numbers on seeded small graphs; SimpleHGN
+has only the CSR path and is checked against a gather/scatter reference
+written here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import pytest
 from repro.completion import GCNCompletion, MeanCompletion, PPNPCompletion
 from repro.graph import LRUCache
 from repro.models import build_model
-from repro.tensor import Tensor
+from repro.tensor import (
+    Tensor,
+    fused_kernels,
+    gather_rows,
+    leaky_relu,
+    scatter_add,
+    segment_softmax,
+)
 from repro.training import set_seed
 
 
@@ -44,32 +52,58 @@ def test_gcn_model_sparse_matches_dense(imdb_tiny):
                                dense_model(Tensor(h0)).data, atol=1e-6)
 
 
-def test_simple_hgn_sparse_matches_scatter(imdb_tiny):
+def _scatter_layer(layer, h, alpha_prev):
+    """A SimpleHGN layer as gather → scale → ``scatter_add``, from its
+    parameters: per-edge scores, no CSR pattern, no fused kernels."""
+    n, heads = layer.num_nodes, layer.num_heads
+    projected = layer.proj(h).reshape(n, heads, layer.head_dim)
+    edge_embed = gather_rows(layer.edge_table, layer.etype).reshape(
+        -1, heads, layer.edge_dim)
+    logits = leaky_relu(
+        gather_rows((projected * layer.attn_src).sum(axis=-1), layer.src)
+        + gather_rows((projected * layer.attn_dst).sum(axis=-1), layer.dst)
+        + (edge_embed * layer.attn_edge).sum(axis=-1),
+        layer.negative_slope)
+    alpha = segment_softmax(logits, layer.dst, n)
+    alpha = alpha * (1.0 - layer.beta) + alpha_prev * layer.beta
+    messages = gather_rows(projected, layer.src) * alpha.reshape(-1, heads, 1)
+    out = scatter_add(messages, layer.dst, n).reshape(n, -1)
+    return out + layer.residual_proj(h), alpha
+
+
+def test_simple_hgn_layer_matches_scatter_reference(imdb_tiny):
     n = imdb_tiny.graph.num_nodes
-    h0 = np.random.default_rng(1).normal(size=(n, 32))
+    rng = np.random.default_rng(1)
     set_seed(0)
-    sparse_model = build_model("simple_hgn", imdb_tiny, hidden_dim=32,
-                               out_dim=32, use_sparse=True)
-    set_seed(0)
-    scatter_model = build_model("simple_hgn", imdb_tiny, hidden_dim=32,
-                                out_dim=32, use_sparse=False)
-    sparse_model.eval()
-    scatter_model.eval()
+    model = build_model("simple_hgn", imdb_tiny, hidden_dim=32, out_dim=32)
+    model.eval()
+    layer = model.layers[1]
+    alpha_prev = Tensor(model.layers[0](Tensor(rng.normal(size=(n, 32))))[1]
+                        .data)
+    h0 = rng.normal(size=(n, 32))
+    out_weight = rng.normal(size=(n, 32))
+    alpha_weight = rng.normal(size=alpha_prev.shape)
 
-    x_sparse = Tensor(h0, requires_grad=True)
-    x_scatter = Tensor(h0.copy(), requires_grad=True)
-    out_sparse = sparse_model(x_sparse)
-    out_scatter = scatter_model(x_scatter)
-    np.testing.assert_allclose(out_sparse.data, out_scatter.data, atol=1e-6)
+    def run(forward):
+        layer.zero_grad()
+        h = Tensor(h0.copy(), requires_grad=True)
+        out, alpha = forward(h)
+        ((out * out_weight).sum() + (alpha * alpha_weight).sum()).backward()
+        grads = {name: p.grad.copy() for name, p in layer.named_parameters()}
+        return out.data, alpha.data, h.grad, grads
 
-    out_sparse.sum().backward()
-    out_scatter.sum().backward()
-    np.testing.assert_allclose(x_sparse.grad, x_scatter.grad, atol=1e-6)
-    for (name, p_sp), (_, p_sc) in zip(
-            sparse_model.named_parameters(), scatter_model.named_parameters()):
-        assert p_sp.grad is not None, name
-        np.testing.assert_allclose(p_sp.grad, p_sc.grad, atol=1e-6,
-                                   err_msg=name)
+    expected = run(lambda h: _scatter_layer(layer, h, alpha_prev))
+    for fused in (False, True):
+        with fused_kernels(fused):
+            got = run(lambda h: layer(h, alpha_prev))
+        for name, a, b in zip(("out", "alpha", "h.grad"), got, expected):
+            np.testing.assert_allclose(a, b, atol=1e-6,
+                                       err_msg=f"{name}, fused={fused}")
+        assert set(got[3]) == set(expected[3])
+        for name in expected[3]:
+            np.testing.assert_allclose(got[3][name], expected[3][name],
+                                       atol=1e-6,
+                                       err_msg=f"{name}, fused={fused}")
 
 
 class TestNormalizedAdjacencyCache:

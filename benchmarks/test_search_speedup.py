@@ -4,12 +4,14 @@ Not a paper table: this benchmark guards ``repro.perf``.  It runs the
 *identical* bi-level search twice on a synthetic citation graph
 (``search_benchmark_spec``: papers attributed, authors missing):
 
-* **reference** — float64, unfused kernels, no candidate cache.  This is
-  the bit-for-bit historical engine and the baseline of the paper's
-  runtime claims (Table IV).
+* **reference** — float64, unfused kernels.  This is the bit-for-bit
+  historical engine and the baseline of the paper's runtime claims
+  (Table IV).
 * **fast** — float32, fused kernels (addmm, fused cross-entropy, fused
-  segment softmax, fused attention score/aggregate, bincount scatter)
-  and the per-epoch search-loop candidate cache.
+  segment softmax, fused attention score/aggregate, bincount scatter).
+
+Both runs use the per-epoch search-loop candidate cache, which every
+search runs with (it leaves results bit-identical).
 
 Asserted floors: the fast profile finishes the same number of epochs
 **≥ 2× faster** while landing within a small tolerance of the reference

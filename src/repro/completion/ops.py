@@ -10,14 +10,11 @@
   followed by a linear projection, fused into an embedding table).
 
 Every topology-dependent op factors as ``completed = (P X)[V⁻] @ W`` with a
-*constant* propagation operator ``P``.  ``P`` is assembled on the sparse
-fast path by default: the graph's LRU-cached CSR adjacency
-(:meth:`repro.graph.HeteroGraph.normalized_adjacency`) is column-restricted
-/ normalized with :class:`~repro.tensor.SparseTensor` transforms and the
-product ``P X`` runs through compiled CSR×dense kernels.  Passing
-``use_sparse=False`` (or flipping :data:`DENSE_FALLBACK`) materializes ``P``
-densely instead — an O(N²) reference path kept for validation and
-debugging; both paths produce the same values to machine precision.
+*constant* propagation operator ``P``.  ``P`` is assembled from the
+graph's LRU-cached CSR adjacency
+(:meth:`repro.graph.HeteroGraph.normalized_adjacency`), column-restricted
+/ normalized with :class:`~repro.tensor.SparseTensor` transforms, and the
+product ``P X`` runs through compiled CSR×dense kernels.
 """
 
 from __future__ import annotations
@@ -25,17 +22,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import graph as G
 from ..datasets import HeteroDataset
 from ..tensor import (Parameter, SparseTensor, Tensor, gather_rows,
                       get_default_dtype, init, is_grad_enabled)
 from .base import CompletionOp
-
-#: process-wide default for the ``use_sparse`` constructor flag; flip to
-#: ``True`` to force every completion op onto the dense reference path.
-DENSE_FALLBACK = False
 
 
 def _attributed_mask(dataset: HeteroDataset) -> np.ndarray:
@@ -51,27 +43,14 @@ def _attributed_restricted_adjacency(dataset: HeteroDataset) -> SparseTensor:
             .restrict_columns(_attributed_mask(dataset)))
 
 
-def _attributed_restriction(dataset: HeteroDataset) -> sp.csr_matrix:
-    """Scipy view of :func:`_attributed_restricted_adjacency`."""
-    return _attributed_restricted_adjacency(dataset).to_scipy()
-
-
-def _resolve_sparse_flag(use_sparse: Optional[bool]) -> bool:
-    return (not DENSE_FALLBACK) if use_sparse is None else bool(use_sparse)
-
-
-def _propagate(operator: SparseTensor, features: np.ndarray,
-               use_sparse: bool) -> np.ndarray:
-    """``operator @ features`` on the CSR fast path or the dense fallback.
+def _propagate(operator: SparseTensor, features: np.ndarray) -> np.ndarray:
+    """``operator @ features`` through the CSR kernel.
 
     The result is cast to the engine default dtype once here so op
     forwards never re-cast it (``Tensor(...)`` would copy otherwise).
     """
-    if use_sparse:
-        out = operator.matmul_data(features)
-    else:
-        out = operator.to_dense() @ features
-    return out.astype(get_default_dtype(), copy=False)
+    return operator.matmul_data(features).astype(get_default_dtype(),
+                                                 copy=False)
 
 
 class PropagatedCompletion(CompletionOp):
@@ -125,13 +104,11 @@ class MeanCompletion(PropagatedCompletion):
 
     name = "mean"
 
-    def __init__(self, dataset: HeteroDataset, hidden_dim: int,
-                 use_sparse: Optional[bool] = None) -> None:
+    def __init__(self, dataset: HeteroDataset, hidden_dim: int) -> None:
         super().__init__(dataset, hidden_dim)
-        self.use_sparse = _resolve_sparse_flag(use_sparse)
         raw = dataset.feature_matrix_zero_filled()
         operator = _attributed_restricted_adjacency(dataset).row_normalize()
-        self._base = _propagate(operator, raw, self.use_sparse)[self.missing_ids]
+        self._base = _propagate(operator, raw)[self.missing_ids]
         self.weight = Parameter(init.xavier_uniform((raw.shape[1], hidden_dim)),
                                 name="weight")
 
@@ -146,15 +123,13 @@ class GCNCompletion(PropagatedCompletion):
 
     name = "gcn"
 
-    def __init__(self, dataset: HeteroDataset, hidden_dim: int,
-                 use_sparse: Optional[bool] = None) -> None:
+    def __init__(self, dataset: HeteroDataset, hidden_dim: int) -> None:
         super().__init__(dataset, hidden_dim)
-        self.use_sparse = _resolve_sparse_flag(use_sparse)
         raw = dataset.feature_matrix_zero_filled()
         operator = (dataset.graph
                     .normalized_adjacency(mode="sym", self_loops=False)
                     .restrict_columns(_attributed_mask(dataset)))
-        self._base = _propagate(operator, raw, self.use_sparse)[self.missing_ids]
+        self._base = _propagate(operator, raw)[self.missing_ids]
         self.weight = Parameter(init.xavier_uniform((raw.shape[1], hidden_dim)),
                                 name="weight")
 
@@ -171,18 +146,15 @@ class PPNPCompletion(PropagatedCompletion):
     name = "ppnp"
 
     def __init__(self, dataset: HeteroDataset, hidden_dim: int,
-                 alpha: float = 0.1, iterations: int = 10,
-                 use_sparse: Optional[bool] = None) -> None:
+                 alpha: float = 0.1, iterations: int = 10) -> None:
         super().__init__(dataset, hidden_dim)
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"restart probability must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self.use_sparse = _resolve_sparse_flag(use_sparse)
         raw = dataset.feature_matrix_zero_filled()
         a_hat = dataset.graph.normalized_adjacency(mode="sym", self_loops=True)
-        operator = a_hat if self.use_sparse else a_hat.to_dense()
         diffused = G.appnp_propagate(None, raw, alpha=alpha,
-                                     iterations=iterations, a_hat=operator)
+                                     iterations=iterations, a_hat=a_hat)
         self._base = diffused[self.missing_ids].astype(get_default_dtype(),
                                                        copy=False)
         self.weight = Parameter(init.xavier_uniform((raw.shape[1], hidden_dim)),
@@ -208,7 +180,6 @@ class OneHotCompletion(CompletionOp):
 
 
 __all__ = [
-    "DENSE_FALLBACK",
     "PropagatedCompletion",
     "MeanCompletion",
     "GCNCompletion",

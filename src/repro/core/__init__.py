@@ -25,7 +25,6 @@ from .retrain import (
     RetrainArtifacts,
     retrain_assignment_artifacts,
     retrain_link_prediction,
-    retrain_node_classification,
     retrain_node_classification_artifacts,
 )
 from .search import AutoACSearcher, SearchResult
@@ -45,7 +44,6 @@ __all__ = [
     "AutoACLinkResult",
     "run_autoac",
     "run_autoac_link_prediction",
-    "retrain_node_classification",
     "retrain_node_classification_artifacts",
     "retrain_assignment_artifacts",
     "RetrainArtifacts",

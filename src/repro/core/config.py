@@ -41,12 +41,6 @@ class AutoACConfig:
     em_warmup: int = 10
     #: epochs of pure-w training before alpha updates start
     warmup_epochs: int = 5
-    #: reuse completion candidates across the upper/lower steps of one
-    #: epoch (see repro.completion.WeightedCompletionFeatures); None
-    #: defers to the active runtime profile (repro.perf: off in
-    #: "reference", on in "fast"); ignored for the unrolled mixture
-    #: ablation, whose upper step needs live w gradients
-    candidate_cache: Optional[bool] = None
     #: sampled lower level: when set, every lower ``w`` step trains on a
     #: neighbor-sampled view around a batch of training seeds (only the
     #: ``batch_size`` / ``fanout`` / ``num_layers`` / ``sample_seed``

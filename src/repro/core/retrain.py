@@ -31,8 +31,7 @@ from .search import SearchResult
 class RetrainArtifacts:
     """A finished retraining run *with* the trained modules attached.
 
-    ``retrain_node_classification`` historically returned only the
-    :class:`TrainResult` metrics; the serving layer additionally needs the
+    Besides the :class:`TrainResult` metrics, the serving layer needs the
     trained backbone and feature builder to export a
     :class:`~repro.serving.ModelBundle`.
     """
@@ -79,19 +78,6 @@ def retrain_node_classification_artifacts(
         out_dim=out_dim, config=config, space=space, **model_kwargs)
 
 
-def retrain_node_classification(
-    dataset: HeteroDataset, model_name: str, search: SearchResult,
-    hidden_dim: int = 64, out_dim: int = 64,
-    config: Optional[TrainConfig] = None,
-    space: Optional[SearchSpace] = None,
-    **model_kwargs,
-) -> TrainResult:
-    """Train a fresh model with the searched per-node completion choices."""
-    return retrain_node_classification_artifacts(
-        dataset, model_name, search, hidden_dim=hidden_dim, out_dim=out_dim,
-        config=config, space=space, **model_kwargs).result
-
-
 def retrain_link_prediction(
     task: LinkPredictionTask, model_name: str, search: SearchResult,
     hidden_dim: int = 64, out_dim: int = 64,
@@ -101,8 +87,8 @@ def retrain_link_prediction(
 ) -> LinkPredResult:
     """Retrain from scratch on the searched assignment, for link prediction.
 
-    Mirrors :func:`retrain_node_classification`: the discrete completion
-    assignment found by the search is frozen into
+    Mirrors :func:`retrain_node_classification_artifacts`: the discrete
+    completion assignment found by the search is frozen into
     :class:`~repro.completion.FixedAssignmentFeatures` and a fresh model is
     trained on the edge-masked graph.
     """
@@ -117,6 +103,5 @@ def retrain_link_prediction(
 
 
 __all__ = ["RetrainArtifacts", "retrain_assignment_artifacts",
-           "retrain_node_classification",
            "retrain_node_classification_artifacts",
            "retrain_link_prediction"]

@@ -29,7 +29,6 @@ from ..completion import SearchSpace, WeightedCompletionFeatures
 from ..datasets import HeteroDataset
 from ..graph.sampler import NeighborSampler
 from ..models import build_model
-from ..perf.profiles import current_profile
 from ..tensor import Adam, Tensor, gather_rows, no_grad
 from ..training.metrics import alpha_entropy
 from .adapters import TaskAdapter
@@ -138,13 +137,7 @@ class AutoACSearcher:
         # validation pass; see WeightedCompletionFeatures.candidate_mode.
         # The unrolled mixture ablation differentiates the candidate
         # forwards w.r.t. w in its upper step, so caching is unsound there.
-        if cfg.candidate_cache is None:
-            use_cache = current_profile().candidate_cache
-        else:
-            use_cache = bool(cfg.candidate_cache)
-        if not cfg.discrete and cfg.unrolled:
-            use_cache = False
-        self.use_candidate_cache = use_cache
+        self.use_candidate_cache = cfg.discrete or not cfg.unrolled
 
         # sampled lower level ---------------------------------------------
         # cfg.minibatch makes every lower w step train on a neighbor-

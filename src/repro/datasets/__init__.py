@@ -14,7 +14,7 @@ from .generator import (
 )
 from .imdb import IMDB_SPEC
 from .lastfm import LASTFM_SPEC
-from .registry import SCALES, SPECS, clear_cache, dataset_names, get_dataset
+from .registry import SCALES, SPECS, dataset_names, get_dataset
 from .stats import DatasetStats, TypeStat, dataset_statistics, render_table1
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "LASTFM_SPEC",
     "get_dataset",
     "dataset_names",
-    "clear_cache",
     "SPECS",
     "SCALES",
     "DatasetStats",

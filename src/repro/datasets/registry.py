@@ -65,8 +65,4 @@ def get_dataset(name: str, scale: str = "small", seed: int = 0,
     return dataset
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
-__all__ = ["get_dataset", "dataset_names", "clear_cache", "SPECS", "SCALES"]
+__all__ = ["get_dataset", "dataset_names", "SPECS", "SCALES"]

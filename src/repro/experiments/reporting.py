@@ -19,10 +19,6 @@ def _fmt(value: float, std: float | None = None, scale: float = 100.0) -> str:
     return f"{value * scale:6.2f}"
 
 
-def _fmt_seconds(value: float) -> str:
-    return f"{value:8.2f}s"
-
-
 def render_node_clf_table(result: Dict) -> str:
     """Tables II / III / VI / VII: model × dataset macro/micro-F1 grid."""
     datasets = result["datasets"]

@@ -25,11 +25,9 @@ from .plan import (
     FaultInjected,
     FaultPlan,
     FaultRule,
-    active_plan,
     arm,
     arm_from_env,
     armed,
-    disarm,
     fault_site,
     is_armed,
     plan_from_env,
@@ -41,11 +39,9 @@ __all__ = [
     "FaultRule",
     "KILL_EXIT_CODE",
     "PLAN_ENV_VAR",
-    "active_plan",
     "arm",
     "arm_from_env",
     "armed",
-    "disarm",
     "fault_site",
     "is_armed",
     "plan_from_env",

@@ -35,7 +35,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -276,11 +276,6 @@ def fault_site(site: str, payload: Any = None,
     return plan.visit(site, payload, key=key)
 
 
-def active_plan() -> Optional[FaultPlan]:
-    """The armed plan, or ``None``."""
-    return _PLAN
-
-
 def is_armed() -> bool:
     return _PLAN is not None
 
@@ -292,13 +287,6 @@ def arm(plan: FaultPlan, export_env: bool = True) -> FaultPlan:
     if export_env:
         os.environ[PLAN_ENV_VAR] = plan.to_json()
     return plan
-
-
-def disarm() -> None:
-    """Disarm and stop exporting to child processes."""
-    global _PLAN
-    _PLAN = None
-    os.environ.pop(PLAN_ENV_VAR, None)
 
 
 @contextlib.contextmanager
@@ -347,11 +335,9 @@ __all__ = [
     "FaultRule",
     "KILL_EXIT_CODE",
     "PLAN_ENV_VAR",
-    "active_plan",
     "arm",
     "arm_from_env",
     "armed",
-    "disarm",
     "fault_site",
     "is_armed",
     "plan_from_env",

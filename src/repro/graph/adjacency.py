@@ -165,8 +165,8 @@ def appnp_propagate(adj: sp.spmatrix, features: np.ndarray, alpha: float = 0.1,
 
     Converges geometrically to the exact PPNP diffusion of ``features``.
     ``a_hat`` may be a precomputed (and cached) normalized operator — a
-    scipy CSR matrix, a :class:`~repro.tensor.SparseTensor`, or a dense
-    array (the validation fallback) — in which case ``adj`` is ignored.
+    scipy CSR matrix, a :class:`~repro.tensor.SparseTensor` or a dense
+    array — in which case ``adj`` is ignored.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"restart probability must be in (0, 1], got {alpha}")

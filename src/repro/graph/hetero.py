@@ -9,8 +9,8 @@ the relational structure needed by the heterogeneous models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -285,40 +285,6 @@ class HeteroGraph:
             lambda: normalize_adjacency(self.adjacency_sparse(symmetric),
                                         mode=mode, self_loops=self_loops))
 
-    def block_adjacency(self, src_type: str, dst_type: str,
-                        mode: str = "none",
-                        self_loops: bool = False) -> SparseTensor:
-        """Cached per-(src-type, dst-type) adjacency block (CSR).
-
-        Sums the biadjacency of every relation connecting ``src_type`` to
-        ``dst_type`` (binarized), then applies ``mode`` normalization.
-        Shape is ``(n_src_type, n_dst_type)``; ``self_loops`` is only legal
-        for square blocks (``src_type == dst_type``).
-        """
-        if src_type not in self._info or dst_type not in self._info:
-            raise KeyError(f"unknown node type in block "
-                           f"({src_type!r}, {dst_type!r})")
-        if self_loops and src_type != dst_type:
-            raise ValueError(
-                f"self loops are only meaningful on same-type blocks, got "
-                f"({src_type!r}, {dst_type!r})")
-        key = ("block", src_type, dst_type, mode, self_loops,
-               get_default_dtype().name)
-
-        def build() -> SparseTensor:
-            n_src = self._info[src_type].count
-            n_dst = self._info[dst_type].count
-            block = sp.csr_matrix((n_src, n_dst), dtype=get_default_dtype())
-            for relation in self.relations:
-                if relation[0] == src_type and relation[2] == dst_type:
-                    block = block + self.biadjacency(relation)
-            if block.nnz:
-                block.data[:] = 1.0
-            return normalize_adjacency(block, mode=mode,
-                                       self_loops=self_loops)
-
-        return self._norm_cache.get(key, build)
-
     def degrees(self, symmetric: bool = True) -> np.ndarray:
         adj = self.adjacency(symmetric=symmetric)
         return np.asarray(adj.sum(axis=1)).ravel()
@@ -347,7 +313,8 @@ class HeteroGraph:
         Returns the new node's local id.  Global ids of nodes in types
         declared after ``node_type`` shift by one; callers holding global
         ids must re-derive them.  Caches are invalidated *selectively*:
-        cached per-type blocks that do not involve ``node_type`` survive.
+        cached per-relation structures that do not involve ``node_type``
+        survive.
         """
         if node_type not in self._info:
             raise KeyError(f"unknown node type {node_type!r}")
@@ -445,9 +412,9 @@ class HeteroGraph:
     def _invalidate_for_type(self, node_type: str) -> None:
         """Drop caches a ``node_type`` mutation stales, keeping the rest.
 
-        Global structures (id space shifted) always go; per-type blocks,
-        biadjacencies and the sampler's per-relation CSR lists survive
-        unless their relation involves ``node_type``.
+        Global structures (id space shifted) always go; biadjacencies and
+        the sampler's per-relation CSR lists survive unless their
+        relation involves ``node_type``.
         """
         self._cache.clear()
 
@@ -458,8 +425,6 @@ class HeteroGraph:
             if scope in ("biadjacency", "sample_csr"):
                 relation = key[1]
                 return node_type in (relation[0], relation[2])
-            if scope == "block":
-                return node_type in (key[1], key[2])
             return True  # global-scope operators ("adjacency_sparse", ...)
 
         self._norm_cache.invalidate(stale)

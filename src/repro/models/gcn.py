@@ -4,9 +4,7 @@ The HGB benchmark's strongest "simple" baseline: node types are ignored,
 messages flow over the symmetric renormalized adjacency.  The operator is
 fetched from the graph's LRU cache as a CSR
 :class:`~repro.tensor.SparseTensor` and applied through the autograd-aware
-:func:`~repro.tensor.spmm` fast path; ``use_sparse=False`` falls back to a
-dense ``(N, N)`` matmul (validation/debugging only — same values, O(N²)
-memory).
+:func:`~repro.tensor.spmm` kernel.
 """
 
 from __future__ import annotations
@@ -25,33 +23,26 @@ class GCN(BaseHGNN):
 
     def __init__(self, dataset: HeteroDataset, hidden_dim: int = 64,
                  out_dim: int = 64, num_layers: int = 2,
-                 dropout: float = 0.5, use_sparse: bool = True) -> None:
+                 dropout: float = 0.5) -> None:
         super().__init__(dataset, hidden_dim, out_dim)
         self.num_layers = num_layers
-        self.use_sparse = bool(use_sparse)
         self.adj = dataset.graph.normalized_adjacency(mode="sym",
                                                       self_loops=True)
-        self._adj_dense = None if self.use_sparse else Tensor(self.adj.to_dense())
         dims = [hidden_dim] * num_layers + [out_dim]
         self.layers = ModuleList([
             Linear(dims[i], dims[i + 1]) for i in range(num_layers)
         ])
         self.dropout = Dropout(dropout)
 
-    def _propagate(self, h: Tensor) -> Tensor:
-        if self.use_sparse:
-            return spmm(self.adj, h)
-        return self._adj_dense @ h
-
     def encode(self, h0: Tensor, view: Optional[GraphView] = None) -> Tensor:
+        adj = self.adj
         if view is not None:
-            # normalized sub-adjacency, memoized on the (immutable) view —
-            # always the CSR path: a view is batch-fan-out sized by design
+            # normalized sub-adjacency, memoized on the (immutable) view
             adj = view.normalized_adjacency(mode="sym", self_loops=True)
         h = h0
         for index, layer in enumerate(self.layers):
             h = layer(self.dropout(h))
-            h = spmm(adj, h) if view is not None else self._propagate(h)
+            h = spmm(adj, h)
             if index < self.num_layers - 1:
                 h = relu(h)
         return h

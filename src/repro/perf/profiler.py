@@ -131,9 +131,9 @@ class ProfileReport:
 class Profiler:
     """Collects per-op statistics while active (context manager).
 
-    Profilers nest: an inner profiler temporarily replaces the outer
-    hook and restores it on exit (the outer one misses the inner span —
-    acceptable for the intended "wrap one run" usage).
+    Profilers nest: an inner profiler chains to the hook it replaced
+    (an outer profiler, or a span capturing ops) and restores it on
+    exit, so every active profiler sees every op.
     """
 
     def __init__(self, registry=None) -> None:
@@ -150,6 +150,8 @@ class Profiler:
         if stat is None:
             stat = self._stats[name] = OpStat(name)
         stat.record(seconds, nbytes)
+        if self._previous is not None:
+            self._previous(name, seconds, nbytes)
 
     def __enter__(self) -> "Profiler":
         if self._active:

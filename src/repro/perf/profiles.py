@@ -1,18 +1,14 @@
 """Named runtime profiles: bundles of engine-wide performance settings.
 
-A profile fixes three independent switches:
+A profile fixes two independent switches:
 
 * the default float dtype (:mod:`repro.tensor.dtype`),
-* the fused kernels (:func:`repro.tensor.functional.set_fused_kernels`),
-* whether :class:`~repro.core.search.AutoACSearcher` may reuse completion
-  candidates across the upper/lower steps of one epoch (the search-loop
-  cache; searchers resolve it at construction unless their config pins
-  it).
+* the fused kernels (:func:`repro.tensor.functional.set_fused_kernels`).
 
-``reference`` — float64, unfused, no search cache — reproduces the
-historical engine bit-for-bit and stays the process default.  ``fast`` —
-float32, fused, cached — is the ≥2× profile used for production-style
-search runs.  Apply one with::
+``reference`` — float64, unfused — reproduces the historical engine
+bit-for-bit and stays the process default.  ``fast`` — float32, fused —
+is the ≥2× profile used for production-style search runs.  Apply one
+with::
 
     with runtime_profile("fast"):
         result = run_autoac(dataset, "simple_hgn")
@@ -39,20 +35,17 @@ class RuntimeProfile:
     name: str
     dtype: np.dtype
     fused_kernels: bool
-    candidate_cache: bool
 
     def describe(self) -> str:
         return (f"{self.name}: dtype={np.dtype(self.dtype).name}, "
-                f"fused_kernels={'on' if self.fused_kernels else 'off'}, "
-                f"search candidate cache="
-                f"{'on' if self.candidate_cache else 'off'}")
+                f"fused_kernels={'on' if self.fused_kernels else 'off'}")
 
 
 _PROFILES: Dict[str, RuntimeProfile] = {
     "reference": RuntimeProfile("reference", np.dtype(np.float64),
-                                fused_kernels=False, candidate_cache=False),
+                                fused_kernels=False),
     "fast": RuntimeProfile("fast", np.dtype(np.float32),
-                           fused_kernels=True, candidate_cache=True),
+                           fused_kernels=True),
 }
 
 _CURRENT = [_PROFILES["reference"]]

@@ -32,7 +32,7 @@ from .artifact import (
     bundle_from_result,
     default_label_names,
 )
-from .engine import EngineConfig, InferenceEngine
+from .engine import InferenceEngine
 from .onboarding import OnboardResult, OnboardingManager, parse_relation
 from .server import ServerConfig, ServingServer, make_handler
 from .wal import OnboardWAL, WalReplayError
@@ -55,7 +55,6 @@ __all__ = [
     "check_deadline",
     "deadline_scope",
     "default_label_names",
-    "EngineConfig",
     "InferenceEngine",
     "OnboardResult",
     "OnboardingManager",

@@ -138,16 +138,6 @@ class AdmissionController:
         with self._condition:
             return self._inflight
 
-    @property
-    def queued(self) -> int:
-        with self._condition:
-            return self._queued
-
-    @property
-    def draining(self) -> bool:
-        with self._condition:
-            return self._draining
-
     # -- the gate -------------------------------------------------------
     @contextlib.contextmanager
     def admit(self, timeout_s: Optional[float] = None) -> Iterator[None]:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,22 +44,6 @@ from .admission import check_deadline
 from .artifact import ModelBundle
 from .onboarding import OnboardingManager, OnboardResult
 from .wal import OnboardWAL, WalReplayError
-
-
-@dataclass
-class EngineConfig:
-    """Serving knobs."""
-
-    #: optional per-relation cap on the in-neighbours an onboarding
-    #: forward keeps (backbones with ``supports_sampling``).  None, the
-    #: default, keeps every one: the new node's exact receptive field,
-    #: whose answer equals a full forward over the updated graph; a cap
-    #: trades that exactness for a bounded view on high-degree nodes
-    onboard_fanout: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.onboard_fanout is not None and self.onboard_fanout <= 0:
-            raise ValueError("onboard_fanout must be positive when set")
 
 
 def _as_ids(node_ids) -> np.ndarray:
@@ -91,12 +74,10 @@ class InferenceEngine:
     """Answers ``predict`` / ``embed`` queries from a table built at load."""
 
     def __init__(self, bundle: ModelBundle,
-                 config: Optional[EngineConfig] = None,
                  dataset: Optional[HeteroDataset] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.bundle = bundle
-        self.config = config or EngineConfig()
         self.dataset, self.model, self.features = bundle.instantiate(dataset)
         #: a PRIVATE registry per engine, so two engines in one process
         #: never cross-count; the HTTP server merges it with the global
@@ -125,12 +106,11 @@ class InferenceEngine:
         self._started = time.perf_counter()
 
     @classmethod
-    def from_path(cls, path, config: Optional[EngineConfig] = None,
-                  dataset: Optional[HeteroDataset] = None,
+    def from_path(cls, path, dataset: Optional[HeteroDataset] = None,
                   registry: Optional[MetricsRegistry] = None,
                   tracer: Optional[Tracer] = None) -> "InferenceEngine":
         """Load a saved bundle file and build an engine around it."""
-        return cls(ModelBundle.load(path), config=config, dataset=dataset,
+        return cls(ModelBundle.load(path), dataset=dataset,
                    registry=registry, tracer=tracer)
 
     # ------------------------------------------------------------------
@@ -228,7 +208,6 @@ class InferenceEngine:
             if self._onboarding is None:
                 self._onboarding = OnboardingManager(
                     self.bundle, self.dataset, self._h0, self.model,
-                    fanout=self.config.onboard_fanout,
                     registry=self.metrics, tracer=self.tracer)
             fault_site("onboard.apply", key=node_type)
             result = self._onboarding.onboard(node_type, edges,
@@ -324,4 +303,4 @@ class InferenceEngine:
             }
 
 
-__all__ = ["EngineConfig", "InferenceEngine"]
+__all__ = ["InferenceEngine"]

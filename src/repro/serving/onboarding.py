@@ -20,10 +20,9 @@ module implements that path on top of a loaded bundle:
    in-neighbourhood: backbones that accept a view (``supports_sampling``)
    run the serving model as loaded on exactly that receptive field, with
    every in-neighbour kept.  View operators take their coefficients from
-   the updated graph, so the answer is the full forward's.
-   ``onboard_fanout`` optionally caps the in-neighbours per relation (an
-   approximation).  Other backbones are rebuilt over the updated graph
-   and run one full forward, their only path.
+   the updated graph, so the answer is the full forward's.  Other
+   backbones are rebuilt over the updated graph and run one full
+   forward, their only path.
 
 Pre-existing nodes keep being served from the *base* state, so onboarding
 never changes an existing answer; the overlay is folded into ground truth
@@ -99,7 +98,6 @@ class OnboardingManager:
 
     def __init__(self, bundle: ModelBundle, base_dataset: HeteroDataset,
                  base_h0: np.ndarray, model: BaseHGNN,
-                 fanout: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.bundle = bundle
@@ -107,9 +105,6 @@ class OnboardingManager:
         #: the serving model (eval mode); view-capable backbones run it as
         #: is on the new node's receptive field
         self.model = model
-        #: optional per-relation cap on the in-neighbours of that view
-        #: (None keeps every one: exact)
-        self._fanout = fanout
         # the engine hands down its private registry/tracer so onboarding
         # shows up in the same /metrics scrape and trace stream
         self.metrics = registry or MetricsRegistry()
@@ -265,12 +260,10 @@ class OnboardingManager:
         target = node_type == dataset.target_type
         with no_grad():
             if self.model.supports_sampling:
-                # seeded by the global id, so a capped (random) view is
-                # the same on a retry or a WAL replay
                 view = NeighborSampler(
-                    graph, fanout=self._fanout,
+                    graph, fanout=None,
                     num_layers=getattr(self.model, "num_layers", 2),
-                    seed=gid).sample(np.array([gid], dtype=np.int64))
+                ).sample(np.array([gid], dtype=np.int64))
                 span.set(view_nodes=view.num_nodes,
                          view_edges=view.num_edges())
                 encoded = self.model.encode(

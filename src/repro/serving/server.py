@@ -63,7 +63,6 @@ from ..telemetry import (
 from .admission import (
     AdmissionController,
     CircuitBreaker,
-    CircuitOpenError,
     Deadline,
     DeadlineExceeded,
     ShedError,
@@ -178,8 +177,14 @@ def make_handler(engine: InferenceEngine,
 
         def _send(self, status: int, body: bytes, content_type: str,
                   extra_headers: Optional[dict] = None) -> None:
+            """Store the response; :meth:`_handle` writes it once the
+            request is accounted for."""
             self._status = status
-            self.send_response(status)
+            self._response = (body, content_type, extra_headers or {})
+
+        def _write_response(self) -> None:
+            body, content_type, extra_headers = self._response
+            self.send_response(self._status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             if self._unread or not (ready is None or ready.is_set()):
@@ -188,7 +193,7 @@ def make_handler(engine: InferenceEngine,
                 self.send_header("Connection", "close")
             if self._trace_id:
                 self.send_header("X-Trace-Id", self._trace_id)
-            for name, value in (extra_headers or {}).items():
+            for name, value in extra_headers.items():
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
@@ -278,8 +283,6 @@ def make_handler(engine: InferenceEngine,
                 # onboarding — the engine's state was rolled back, report it
                 self._reply(500, {"error": str(error)})
             else:
-                # the slot is free before the client can read the answer,
-                # so a request it sends next is never shed by this one
                 self._reply(status, body)
 
         def _dispatch_post_admitted(self) -> Tuple[int, dict]:
@@ -312,6 +315,7 @@ def make_handler(engine: InferenceEngine,
         def _handle(self, method: str) -> None:
             start = time.perf_counter()
             self._status = 500
+            self._response = None
             self._trace_id = None
             lengths = self.headers.get_all("Content-Length") or ["0"]
             framed = len(lengths) == 1 and lengths[0].isdecimal()
@@ -342,22 +346,15 @@ def make_handler(engine: InferenceEngine,
                 except TimeoutError:
                     # the body stopped arriving part-way
                     http_idle_timeouts.inc()
-                    try:
-                        self._reply(408, {"error": "request body timed "
-                                                   "out"})
-                    except OSError:
-                        self.close_connection = True
+                    self._reply(408, {"error": "request body timed out"})
                 except Exception as error:  # noqa: BLE001 — the backstop
                     # whatever escaped the typed handlers (including an
                     # injected fault) becomes a clean 500: a request may
                     # fail, the serving thread pool must not
                     http_errors.inc()
-                    try:
-                        self._reply(500, {
-                            "error": f"internal error: "
-                                     f"{type(error).__name__}: {error}"})
-                    except OSError:
-                        self.close_connection = True
+                    self._reply(500, {
+                        "error": f"internal error: "
+                                 f"{type(error).__name__}: {error}"})
                 finally:
                     span.set(status=self._status)
             duration = time.perf_counter() - start
@@ -372,6 +369,14 @@ def make_handler(engine: InferenceEngine,
                     "duration_ms": duration * 1e3,
                     "trace_id": self._trace_id,
                 })
+            # written last: the root span, metrics and access log already
+            # account for the request when the client reads its answer
+            # and sends the next one
+            if self._response is not None:
+                try:
+                    self._write_response()
+                except OSError:
+                    self.close_connection = True
 
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             self._handle("GET")

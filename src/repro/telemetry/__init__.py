@@ -28,8 +28,6 @@ telemetry") for the naming scheme and the trace JSONL schema.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .exposition import CONTENT_TYPE, parse_prometheus, render_prometheus
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -46,7 +44,6 @@ from .tracing import (
     EventSink,
     Span,
     Tracer,
-    current_span,
     current_trace_id,
     new_trace_id,
 )
@@ -73,14 +70,6 @@ def get_tracer() -> Tracer:
     return _default_tracer
 
 
-def set_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Swap the global tracer (``None`` → disabled); returns the old one."""
-    global _default_tracer
-    previous = _default_tracer
-    _default_tracer = tracer if tracer is not None else Tracer(None)
-    return previous
-
-
 __all__ = [
     "CONTENT_TYPE",
     "DEFAULT_LATENCY_BUCKETS",
@@ -93,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "current_span",
     "current_trace_id",
     "get_registry",
     "get_tracer",
@@ -103,5 +91,4 @@ __all__ = [
     "percentile_from_buckets",
     "render_prometheus",
     "set_registry",
-    "set_tracer",
 ]

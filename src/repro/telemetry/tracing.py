@@ -15,11 +15,11 @@ Records are JSON lines in the :class:`EventSink`:
    "start_unix_ms", "duration_ms", "attrs": {...}}``
 ``{"kind": "event", "name", "trace_id", "unix_ms", ...fields}``
 
-Spans can additionally capture **op-level** data through the existing
-:mod:`repro.tensor._profile` choke point (``capture_ops=True``): for
-the span's duration a hook aggregates per-op call counts and wall time
-into ``attrs["ops"]``, chaining to any previously installed hook so an
-active :class:`repro.perf.Profiler` keeps seeing everything.
+Spans can additionally capture **op-level** data (``capture_ops=True``):
+for the span's duration a :class:`repro.perf.Profiler` aggregates
+per-op call counts and wall time into ``attrs["ops"]``.  The profiler
+chains to any previously installed hook, so an outer profiler keeps
+seeing everything.
 
 A tracer without a sink is disabled: ``span()`` yields a shared no-op
 span and costs one attribute check plus a generator frame — cheap
@@ -36,10 +36,10 @@ import time
 import uuid
 from typing import Dict, Iterator, Optional, Union
 
-from ..tensor import _profile
+from ..perf.profiler import Profiler
 
-__all__ = ["EventSink", "Span", "Tracer", "current_span",
-           "current_trace_id", "new_trace_id"]
+__all__ = ["EventSink", "Span", "Tracer", "current_trace_id",
+           "new_trace_id"]
 
 
 def new_trace_id() -> str:
@@ -125,10 +125,6 @@ _CURRENT: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
     "repro_telemetry_span", default=None)
 
 
-def current_span() -> Optional[Span]:
-    return _CURRENT.get()
-
-
 def current_trace_id() -> Optional[str]:
     span = _CURRENT.get()
     return span.trace_id if span is not None else None
@@ -137,27 +133,16 @@ def current_trace_id() -> Optional[str]:
 @contextlib.contextmanager
 def _capture_ops(span: Span) -> Iterator[None]:
     """Aggregate tensor-op calls into ``span.attrs["ops"]`` while active."""
-    totals: Dict[str, list] = {}
-    previous = _profile.get_hook()
-
-    def hook(name: str, seconds: float, nbytes: int) -> None:
-        entry = totals.get(name)
-        if entry is None:
-            entry = totals[name] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += seconds
-        if previous is not None:
-            previous(name, seconds, nbytes)
-
-    _profile.set_hook(hook)
+    profiler = Profiler()
     try:
-        yield
+        with profiler:
+            yield
     finally:
-        _profile.set_hook(previous)
-        if totals:
+        stats = profiler.report().stats
+        if stats:
             span.attrs["ops"] = {
-                name: {"calls": calls, "ms": seconds * 1e3}
-                for name, (calls, seconds) in sorted(totals.items())}
+                stat.name: {"calls": stat.calls, "ms": stat.seconds * 1e3}
+                for stat in sorted(stats, key=lambda stat: stat.name)}
 
 
 class Tracer:

@@ -422,15 +422,9 @@ def weighted_spmm(pattern: SparseTensor, values: Tensor, x: Tensor) -> Tensor:
     return out
 
 
-def sparse_dense_matmul_data(matrix: SparseLike, x: np.ndarray) -> np.ndarray:
-    """Plain (non-differentiable) sparse × dense product."""
-    return as_sparse_tensor(matrix).matmul_data(x)
-
-
 __all__ = [
     "SparseTensor",
     "as_sparse_tensor",
     "spmm",
     "weighted_spmm",
-    "sparse_dense_matmul_data",
 ]

@@ -22,7 +22,7 @@ Pass ``retain_graph=True`` to keep the graph for a second backward.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as _sp
@@ -51,18 +51,6 @@ def no_grad():
     global _GRAD_ENABLED
     previous = _GRAD_ENABLED
     _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that re-enables graph recording inside ``no_grad``."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = True
     try:
         yield
     finally:
@@ -381,9 +369,6 @@ class Tensor:
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
         return transpose(self, axes)
-
-    def flatten(self) -> "Tensor":
-        return reshape(self, (-1,))
 
     def squeeze(self, axis: int) -> "Tensor":
         shape = list(self.shape)
@@ -873,17 +858,10 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return getitem(a, np.asarray(index, dtype=np.int64))
 
 
-def repeat_rows(a: Tensor, repeats: int) -> Tensor:
-    """Tile a ``(1, ...)`` tensor to ``(repeats, ...)`` differentiably."""
-    index = np.zeros(repeats, dtype=np.int64)
-    return gather_rows(a, index)
-
-
 __all__ = [
     "Tensor",
     "ensure_tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "unbroadcast",
     "add",
@@ -917,5 +895,4 @@ __all__ = [
     "where",
     "scatter_add",
     "gather_rows",
-    "repeat_rows",
 ]

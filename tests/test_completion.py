@@ -19,9 +19,8 @@ from repro.completion import (
     available_ops,
     register_op,
 )
-from repro.completion.ops import _attributed_restriction
-from repro.datasets import HeteroDataset, Split, generate
-from repro.datasets.generator import RelationSpec, SchemaSpec
+from repro.completion.ops import _attributed_restricted_adjacency
+from repro.datasets import HeteroDataset, Split
 from repro.graph import HeteroGraph
 from repro.tensor import Tensor
 
@@ -51,7 +50,8 @@ def micro_dataset() -> HeteroDataset:
 
 class TestRestriction:
     def test_only_attributed_columns_survive(self, micro_dataset):
-        restricted = _attributed_restriction(micro_dataset)
+        restricted = (_attributed_restricted_adjacency(micro_dataset)
+                      .to_scipy())
         # columns 0..1 are users (missing) → must be empty
         assert restricted[:, :2].nnz == 0
         assert restricted[:, 2:].nnz > 0

@@ -273,15 +273,10 @@ class TestOnboardWAL:
 
     def test_wal_replay_rebuilds_identical_overlay(self, tiny_bundle,
                                                    tmp_path):
-        from repro.serving import (
-            EngineConfig,
-            InferenceEngine,
-            ModelBundle,
-        )
+        from repro.serving import InferenceEngine, ModelBundle
 
         wal_path = tmp_path / "onboard.wal"
         first = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
-                                EngineConfig(),
                                 dataset=tiny_bundle["dataset"])
         assert first.attach_wal(wal_path) == 0
         node_type, edges = self._onboard_request(first)
@@ -292,7 +287,6 @@ class TestOnboardWAL:
         # "crash": a brand-new engine process loads the same bundle and
         # replays the WAL — the overlay must be bit-identical
         second = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
-                                 EngineConfig(),
                                  dataset=tiny_bundle["dataset"])
         assert second.attach_wal(wal_path) == 1
         replayed = second._onboarding.result(node_type, result.local_id)
@@ -305,15 +299,10 @@ class TestOnboardWAL:
         second.close()
 
     def test_replay_is_not_reappended(self, tiny_bundle, tmp_path):
-        from repro.serving import (
-            EngineConfig,
-            InferenceEngine,
-            ModelBundle,
-        )
+        from repro.serving import InferenceEngine, ModelBundle
 
         wal_path = tmp_path / "onboard.wal"
         first = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
-                                EngineConfig(),
                                 dataset=tiny_bundle["dataset"])
         first.attach_wal(wal_path)
         node_type, edges = self._onboard_request(first)
@@ -321,21 +310,15 @@ class TestOnboardWAL:
         first.close()
         before = len(read_jsonl(wal_path))
         second = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
-                                 EngineConfig(),
                                  dataset=tiny_bundle["dataset"])
         second.attach_wal(wal_path)
         second.close()
         assert len(read_jsonl(wal_path)) == before
 
     def test_double_attach_rejected(self, tiny_bundle, tmp_path):
-        from repro.serving import (
-            EngineConfig,
-            InferenceEngine,
-            ModelBundle,
-        )
+        from repro.serving import InferenceEngine, ModelBundle
 
         engine = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
-                                 EngineConfig(),
                                  dataset=tiny_bundle["dataset"])
         engine.attach_wal(tmp_path / "a.wal")
         with pytest.raises(ValueError, match="already has a WAL"):

@@ -219,17 +219,10 @@ class TestMiniBatchSearch:
 # Serving: sampled onboarding
 # ----------------------------------------------------------------------
 class TestSampledOnboarding:
-    def test_onboard_fanout_validation(self):
-        from repro.serving import EngineConfig
-        with pytest.raises(ValueError, match="onboard_fanout"):
-            EngineConfig(onboard_fanout=0)
-
     def test_sampled_onboarding_serves_and_preserves_base(self, tiny_bundle):
-        from repro.serving import EngineConfig, InferenceEngine
+        from repro.serving import InferenceEngine
         dataset = tiny_bundle["dataset"]
-        engine = InferenceEngine(tiny_bundle["bundle"],
-                                 config=EngineConfig(onboard_fanout=8),
-                                 dataset=dataset)
+        engine = InferenceEngine(tiny_bundle["bundle"], dataset=dataset)
         base = engine.predict(np.arange(5))
         relation = ("movie", "stars", "actor")
         result = engine.onboard("actor", {relation: [0, 1]})

@@ -4,6 +4,8 @@ and the search-loop candidate cache.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.tensor import (
     segment_softmax,
 )
 from repro.tensor.tensor import scatter_accumulate
+from repro.training import MiniBatchConfig
 
 
 def _t(shape, seed=0):
@@ -215,6 +218,25 @@ class TestProfiler:
             with pytest.raises(RuntimeError):
                 prof.__enter__()
 
+    def test_nested_profilers_and_spans_see_every_op(self):
+        from repro.telemetry import EventSink, Tracer
+        from repro.tensor import _profile
+
+        tracer = Tracer(EventSink(io.StringIO()))
+        with Profiler() as outer:
+            _t((4,)) * 2.0
+            with tracer.span("work", capture_ops=True) as span:
+                with Profiler() as inner:
+                    (_t((8, 8)) @ _t((8, 8), seed=1)).sum().backward()
+        assert _profile.get_hook() is None
+        inner_calls = {s.name: s.calls for s in inner.report().stats}
+        outer_calls = {s.name: s.calls for s in outer.report().stats}
+        span_calls = {name: op["calls"]
+                      for name, op in span.attrs["ops"].items()}
+        assert inner_calls == span_calls
+        assert inner_calls["matmul"] == outer_calls["matmul"] == 1
+        assert outer_calls["mul"] == 1 and "mul" not in inner_calls
+
     def test_render_table(self):
         with Profiler() as prof:
             (_t((8, 8)) @ _t((8, 8), seed=1)).sum().backward()
@@ -248,50 +270,67 @@ class TestProfiler:
 # ----------------------------------------------------------------------
 # search-loop candidate cache
 # ----------------------------------------------------------------------
+#: searches whose cached and uncached runs must agree bit for bit:
+#: (dataset, backbone, runtime profile, AutoACConfig overrides)
+CACHE_CASES = {
+    "imdb-reference": ("imdb", "simple_hgn", "reference", {}),
+    "imdb-fast": ("imdb", "simple_hgn", "fast", {}),
+    "dblp-magnn": ("dblp", "magnn", "reference", {}),
+    "acm-em_warmup": ("acm", "simple_hgn", "reference",
+                      {"cluster_method": "em_warmup", "em_warmup": 2}),
+    "imdb-gat-mixture": ("imdb", "gat", "reference",
+                         {"discrete": False, "unrolled": False}),
+    "imdb-minibatch": ("imdb", "simple_hgn", "reference",
+                       {"minibatch": MiniBatchConfig(batch_size=16,
+                                                     fanout=4)}),
+    "lastfm-link": ("lastfm", "gcn", "reference", {}),
+}
+
+
 class TestCandidateCache:
     @staticmethod
-    def _search(candidate_cache, **cfg_kwargs):
+    def _searcher(dataset_name="imdb", model="simple_hgn", **cfg_kwargs):
         from repro.core import AutoACConfig
-        from repro.core.adapters import NodeClassificationAdapter
+        from repro.core.adapters import (LinkPredictionAdapter,
+                                         NodeClassificationAdapter)
         from repro.core.search import AutoACSearcher
         from repro.datasets import get_dataset
-        from repro.training import set_seed
+        from repro.training import LinkPredictionTask, set_seed
 
         set_seed(0)
-        dataset = get_dataset("imdb", scale="tiny", seed=0)
+        # a fresh dataset per search, in the active profile's dtype
+        dataset = get_dataset(dataset_name, scale="tiny", seed=0,
+                              use_cache=False)
+        if dataset_name == "lastfm":
+            adapter = LinkPredictionAdapter(
+                LinkPredictionTask(dataset, mask_rate=0.1, seed=0))
+        else:
+            adapter = NodeClassificationAdapter(dataset)
         config = AutoACConfig(search_epochs=5, patience=50, warmup_epochs=1,
-                              candidate_cache=candidate_cache, **cfg_kwargs)
-        searcher = AutoACSearcher(NodeClassificationAdapter(dataset),
-                                  "simple_hgn", config, seed=0)
-        return searcher, searcher.search()
+                              **cfg_kwargs)
+        return AutoACSearcher(adapter, model, config, seed=0)
 
-    def test_cache_is_bitwise_identical_to_uncached(self):
-        _, uncached = self._search(False)
-        _, cached = self._search(True)
-        for key in uncached.history:
-            assert uncached.history[key] == cached.history[key], key
-        assert np.array_equal(uncached.assignment, cached.assignment)
+    @pytest.mark.parametrize("case", list(CACHE_CASES))
+    def test_cache_is_bitwise_identical_to_uncached(self, case):
+        dataset_name, model, profile, cfg_kwargs = CACHE_CASES[case]
+        results = []
+        for cached in (False, True):
+            with runtime_profile(profile):
+                searcher = self._searcher(dataset_name, model,
+                                          **cfg_kwargs)
+                assert searcher.use_candidate_cache
+                searcher.use_candidate_cache = cached
+                results.append(searcher.search())
+        uncached, cached = results
+        for name in ("alpha", "assignment", "cluster_labels"):
+            assert np.array_equal(getattr(uncached, name),
+                                  getattr(cached, name)), name
+        assert uncached.history == cached.history
         assert uncached.best_val_score == cached.best_val_score
 
     def test_cache_disabled_for_unrolled_mixture(self):
-        searcher, _ = self._search(True, discrete=False, unrolled=True)
+        searcher = self._searcher(discrete=False, unrolled=True)
         assert not searcher.use_candidate_cache
-
-    def test_cache_follows_runtime_profile_when_unset(self):
-        from repro.core import AutoACConfig
-        from repro.core.adapters import NodeClassificationAdapter
-        from repro.core.search import AutoACSearcher
-        from repro.datasets import get_dataset
-
-        dataset = get_dataset("imdb", scale="tiny", seed=0)
-        adapter = NodeClassificationAdapter(dataset)
-        assert not AutoACSearcher(adapter, "simple_hgn",
-                                  AutoACConfig()).use_candidate_cache
-        with runtime_profile("fast"):
-            dataset_fast = get_dataset("imdb", scale="tiny", seed=1)
-            adapter_fast = NodeClassificationAdapter(dataset_fast)
-            assert AutoACSearcher(adapter_fast, "simple_hgn",
-                                  AutoACConfig()).use_candidate_cache
 
     def test_rigged_projector_respects_frozen_parameters(self):
         from repro.completion import WeightedCompletionFeatures
@@ -317,7 +356,8 @@ class TestCandidateCache:
         assert any(p.grad is not None for p in live)
 
     def test_snapshot_invalidated_after_search_step(self):
-        searcher, _ = self._search(True)
+        searcher = self._searcher()
+        searcher.search()
         # search ends right after a validation pass, which repopulates
         assert searcher.features.has_candidates()
         searcher.features.invalidate_candidates()

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    EngineConfig,
     InferenceEngine,
     ModelBundle,
     ServingServer,
@@ -148,14 +147,14 @@ class TestStats:
 
 
 class TestConfigValidation:
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(onboard_fanout=0)
-
-    def test_removed_knobs_are_gone(self):
-        for knob in ("max_batch_size", "cache_size", "auto_flush"):
-            with pytest.raises(TypeError):
-                EngineConfig(**{knob: 1})
+    def test_removed_knobs_are_gone(self, tiny_bundle):
+        # the engine has no settings object: onboarding always runs on
+        # the exact receptive field
+        bundle = ModelBundle.load(tiny_bundle["path"])
+        with pytest.raises(TypeError):
+            InferenceEngine(bundle, config=None)
+        with pytest.raises(TypeError):
+            InferenceEngine.from_path(tiny_bundle["path"], config=None)
 
 
 class TestServer:

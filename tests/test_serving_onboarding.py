@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.completion import FixedAssignmentFeatures, SearchSpace
-from repro.graph import HeteroGraph
 from repro.graph.adjacency import LRUCache
 from repro.models import build_model
 from repro.serving import (
@@ -105,18 +104,26 @@ class TestAppendNode:
         assert toy_graph.num_nodes_of("movie") == 4
 
     def test_targeted_cache_invalidation(self, toy_graph):
-        kept = toy_graph.block_adjacency("movie", "tag")
-        stale = toy_graph.block_adjacency("movie", "actor")
+        from repro.graph.sampler import _dst_indexed_csr
+
+        tagged = ("movie", "tagged", "tag")
+        stars = ("movie", "stars", "actor")
+        kept = toy_graph.biadjacency(tagged)
+        kept_csr = _dst_indexed_csr(toy_graph, tagged)
+        stale = toy_graph.biadjacency(stars)
+        _dst_indexed_csr(toy_graph, stars)
         toy_graph.normalized_adjacency(mode="sym")
-        toy_graph.append_node("actor", {("movie", "stars", "actor"): [0]})
+        toy_graph.append_node("actor", {stars: [0]})
         cache = toy_graph._norm_cache
-        assert ("block", "movie", "tag", "none", False, "float64") in cache
-        assert ("block", "movie", "actor", "none", False,
-                "float64") not in cache
+        assert ("biadjacency", tagged, "float64") in cache
+        assert ("sample_csr", tagged) in cache
+        assert ("biadjacency", stars, "float64") not in cache
+        assert ("sample_csr", stars) not in cache
         assert ("global", "sym", False, True, "float64") not in cache
-        # the surviving entry is the same object (no rebuild)
-        assert toy_graph.block_adjacency("movie", "tag") is kept
-        rebuilt = toy_graph.block_adjacency("movie", "actor")
+        # the surviving entries are the same objects (no rebuild)
+        assert toy_graph.biadjacency(tagged) is kept
+        assert _dst_indexed_csr(toy_graph, tagged) is kept_csr
+        rebuilt = toy_graph.biadjacency(stars)
         assert rebuilt is not stale
         assert rebuilt.shape == (4, 4)
 

@@ -1,10 +1,9 @@
-"""Sparse fast path vs dense fallback: equivalence and caching.
+"""The CSR propagation paths against dense references written here.
 
-The CSR propagation path must be a pure optimization.  The completion
-ops and GCN expose a dense fallback flag, and this module pins down that
-both paths produce the same numbers on seeded small graphs; SimpleHGN
-has only the CSR path and is checked against a gather/scatter reference
-written here.
+The CSR propagation path must be a pure optimization.  Each completion
+op's propagated block and GCN's encoder are checked against the same
+operator built densely in the test (``.to_dense()``), and SimpleHGN
+against a gather/scatter reference, on seeded small graphs.
 """
 
 from __future__ import annotations
@@ -26,30 +25,53 @@ from repro.tensor import (
 from repro.training import set_seed
 
 
+def _dense_propagated(op_cls, dataset):
+    """``P X`` with the op's propagation operator ``P`` built densely."""
+    graph = dataset.graph
+    raw = dataset.feature_matrix_zero_filled()
+    unattributed = np.ones(graph.num_nodes, dtype=bool)
+    unattributed[dataset.attributed_global_ids] = False
+    if op_cls is MeanCompletion:
+        adj = graph.adjacency_sparse(symmetric=True).to_dense()
+        adj[:, unattributed] = 0.0
+        counts = adj.sum(axis=1, keepdims=True)
+        return (adj / np.where(counts > 0, counts, 1.0)) @ raw
+    if op_cls is GCNCompletion:
+        adj = graph.normalized_adjacency(mode="sym").to_dense()
+        adj[:, unattributed] = 0.0
+        return adj @ raw
+    a_hat = graph.normalized_adjacency(mode="sym", self_loops=True).to_dense()
+    z = raw.copy()
+    for _ in range(10):  # PPNPCompletion's default alpha and iterations
+        z = 0.9 * (a_hat @ z) + 0.1 * raw
+    return z
+
+
 @pytest.mark.parametrize("op_cls", [MeanCompletion, GCNCompletion,
                                     PPNPCompletion])
 def test_completion_sparse_matches_dense(op_cls, imdb_tiny):
-    set_seed(0)
-    sparse_op = op_cls(imdb_tiny, hidden_dim=16, use_sparse=True)
-    set_seed(0)
-    dense_op = op_cls(imdb_tiny, hidden_dim=16, use_sparse=False)
-    np.testing.assert_allclose(sparse_op._base, dense_op._base, atol=1e-6)
-    np.testing.assert_allclose(sparse_op().data, dense_op().data, atol=1e-6)
+    op = op_cls(imdb_tiny, hidden_dim=16)
+    expected = _dense_propagated(op_cls, imdb_tiny)[op.missing_ids]
+    np.testing.assert_allclose(op._base, expected, atol=1e-6)
+    np.testing.assert_allclose(op().data, expected @ op.weight.data,
+                               atol=1e-6)
 
 
 def test_gcn_model_sparse_matches_dense(imdb_tiny):
     n = imdb_tiny.graph.num_nodes
     h0 = np.random.default_rng(0).normal(size=(n, 32))
     set_seed(0)
-    sparse_model = build_model("gcn", imdb_tiny, hidden_dim=32, out_dim=32,
-                               use_sparse=True)
-    set_seed(0)
-    dense_model = build_model("gcn", imdb_tiny, hidden_dim=32, out_dim=32,
-                              use_sparse=False)
-    sparse_model.eval()
-    dense_model.eval()
-    np.testing.assert_allclose(sparse_model(Tensor(h0)).data,
-                               dense_model(Tensor(h0)).data, atol=1e-6)
+    model = build_model("gcn", imdb_tiny, hidden_dim=32, out_dim=32)
+    model.eval()
+    adj = imdb_tiny.graph.normalized_adjacency(mode="sym",
+                                               self_loops=True).to_dense()
+    expected = h0
+    for index, layer in enumerate(model.layers):
+        expected = adj @ layer(Tensor(expected)).data
+        if index < model.num_layers - 1:
+            expected = np.maximum(expected, 0.0)
+    np.testing.assert_allclose(model.encode(Tensor(h0)).data, expected,
+                               atol=1e-6)
 
 
 def _scatter_layer(layer, h, alpha_prev):
@@ -124,20 +146,6 @@ class TestNormalizedAdjacencyCache:
     def test_unknown_mode_rejected(self, imdb_tiny):
         with pytest.raises(ValueError):
             imdb_tiny.graph.normalized_adjacency(mode="bogus")
-
-    def test_block_adjacency_shape_and_cache(self, imdb_tiny):
-        graph = imdb_tiny.graph
-        src_type, dst_type = graph.node_types[0], graph.node_types[1]
-        block = graph.block_adjacency(src_type, dst_type, mode="row")
-        assert block.shape == (graph.num_nodes_of(src_type),
-                               graph.num_nodes_of(dst_type))
-        assert graph.block_adjacency(src_type, dst_type, mode="row") is block
-
-    def test_block_adjacency_rejects_cross_type_self_loops(self, imdb_tiny):
-        graph = imdb_tiny.graph
-        with pytest.raises(ValueError):
-            graph.block_adjacency(graph.node_types[0], graph.node_types[1],
-                                  self_loops=True)
 
     def test_mutation_invalidates(self, toy_graph):
         before = toy_graph.normalized_adjacency(mode="sym")

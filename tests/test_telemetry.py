@@ -363,17 +363,11 @@ class TestServingServerTelemetry:
             return reply.status, json.loads(reply.read())
 
     @staticmethod
-    def _records(server, done, timeout=5.0):
-        """Sink records, polling until ``done(records)`` — the handler
-        emits its root span and access record *after* the response
-        bytes, so the client can observe the reply first."""
-        deadline = time.monotonic() + timeout
-        while True:
-            records = [json.loads(line) for line in
-                       server.trace_buffer.getvalue().splitlines()]
-            if done(records) or time.monotonic() > deadline:
-                return records
-            time.sleep(0.01)
+    def _records(server):
+        """Sink records; a request's root span and access record are
+        written before its response, so no wait is needed."""
+        return [json.loads(line) for line in
+                server.trace_buffer.getvalue().splitlines()]
 
     def test_liveness_vs_readiness_split(self, server):
         status, body, _ = self._get(server, "/healthz")
@@ -432,10 +426,8 @@ class TestServingServerTelemetry:
     def test_traced_http_request_full_span_chain(self, server):
         status, _ = self._post(server, "/predict", {"node_ids": [2]})
         assert status == 200
-        records = [record for record in self._records(
-            server, lambda rs: any(r.get("name") == "http_request"
-                                   for r in rs))
-            if record.get("kind") == "span"]
+        records = [record for record in self._records(server)
+                   if record.get("kind") == "span"]
         chain = {record["name"]: record for record in records}
         # the load-time forward is its own trace; the request's is
         # http_request → batch
@@ -450,9 +442,7 @@ class TestServingServerTelemetry:
         status, body, headers = self._get(server, "/stats")
         assert status == 200
         assert "X-Trace-Id" in headers
-        records = self._records(
-            server, lambda rs: any(r.get("kind") == "access" for r in rs))
-        access = [record for record in records
+        access = [record for record in self._records(server)
                   if record.get("kind") == "access"]
         assert access, "access sink got no records"
         entry = access[-1]
@@ -466,13 +456,38 @@ class TestServingServerTelemetry:
         assert self._get(server, "/nope-123")[0] == 404
         assert self._get(server, "/nope-456")[0] == 404
         counter = server.engine.metrics.get("http_requests_total")
-        # the handler counts after writing the response; wait it out
-        deadline = time.monotonic() + 5.0
-        while (counter.value(method="GET", path="<other>", status="404") < 2
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
         assert counter.value(method="GET", path="<other>",
                              status="404") == 2
+
+    def test_request_is_accounted_before_its_reply(self, tiny_bundle):
+        class SlowSink(EventSink):
+            def emit(self, record):
+                time.sleep(0.05)  # a slow trace file delays the reply
+                super().emit(record)
+
+        buffer = io.StringIO()
+        sink = SlowSink(buffer)
+        engine = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),
+                                 dataset=tiny_bundle["dataset"],
+                                 tracer=Tracer(sink))
+        server = ServingServer(engine, port=0,
+                               access_sink=sink).start_background()
+        server.trace_buffer = buffer
+        try:
+            assert self._post(server, "/predict", {"node_ids": [0]})[0] == 200
+            # everything about the request exists once the client has
+            # read its answer
+            records = self._records(server)
+            assert any(record.get("name") == "http_request"
+                       for record in records)
+            assert any(record.get("kind") == "access" for record in records)
+            counter = engine.metrics.get("http_requests_total")
+            assert counter.value(method="POST", path="/predict",
+                                 status="200") == 1
+            seconds = engine.metrics.get("http_request_seconds")
+            assert seconds.count_total() == 1
+        finally:
+            server.shutdown()
 
     def test_access_log_off_by_default(self, tiny_bundle):
         engine = InferenceEngine(ModelBundle.load(tiny_bundle["path"]),

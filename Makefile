@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke perfbench-search profile report
+.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke perfbench-search search-digest profile report
 
 # Tier-1 verification (ROADMAP.md): the full test suite, fail-fast.
 verify:
@@ -65,6 +65,16 @@ perfbench-search:
 	$(PYTHON) perfbench/run.py --workload search --seed 1 --seconds 0 --trace 1 \
 		> .perfbench/search-smoke.out
 	$(PYTHON) scripts/check_perfbench.py .perfbench/search-smoke.out
+
+# Bit-identity check for search changes: one SHA-1 per runtime profile and
+# seed (reference seed 1, fast seeds 1-5) over α, the assignment, cluster
+# labels, every history series and the retrained macro-F1 of run_autoac
+# (simple_hgn on imdb, 40+40 epochs, early stopping off).  Run it on two
+# trees and compare the lines.  SCALE=tiny|small|medium (default small).
+SCALE ?= small
+search-digest:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/search_digest.py \
+		--scale $(SCALE)
 
 # Static HTML report from the tune-smoke journal (docs/OBSERVABILITY.md).
 report:

@@ -24,9 +24,16 @@ class TaskAdapter(Protocol):
     The searcher alternates ``train_loss`` (lower-level ``w`` updates) and
     ``val_loss`` (upper-level ``alpha`` updates); ``val_score`` drives early
     stopping and model selection.
+
+    An adapter whose ``val_score`` is exactly ``-val_loss(...).item()``
+    in eval mode sets ``score_is_neg_val_loss = True``.  The discrete
+    search then scores with one ``val_loss`` forward and backpropagates
+    that same forward in the next upper step.  Adapters without the flag
+    keep a separate scoring pass.
     """
 
     dataset: HeteroDataset
+    score_is_neg_val_loss: bool
 
     def train_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
         """Differentiable loss on the training split."""
@@ -43,6 +50,8 @@ class TaskAdapter(Protocol):
 
 class NodeClassificationAdapter:
     """Cross-entropy on the 24% train split; macro-F1 on the 6% val split."""
+
+    score_is_neg_val_loss = True
 
     def __init__(self, dataset: HeteroDataset) -> None:
         self.dataset = dataset
@@ -93,6 +102,8 @@ class NodeClassificationAdapter:
 
 class LinkPredictionAdapter:
     """BCE on training edges (fresh negatives each call); val ROC-AUC."""
+
+    score_is_neg_val_loss = False
 
     def __init__(self, task: LinkPredictionTask) -> None:
         self.task = task

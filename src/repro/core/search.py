@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -139,6 +139,17 @@ class AutoACSearcher:
         # forwards w.r.t. w in its upper step, so caching is unsound there.
         self.use_candidate_cache = cfg.discrete or not cfg.unrolled
 
+        # kept validation graph ------------------------------------------
+        # In discrete mode the next upper step's val_loss forward repeats
+        # the end-of-epoch validation forward bit for bit (same w, same
+        # discrete alpha, same clusters, eval mode).  When the adapter's
+        # score is -val_loss, the validation pass builds that forward with
+        # grad on alpha-bar and keeps ``(loss, alpha-bar)`` for the upper
+        # step to backpropagate.
+        self._reuse_val_forward = cfg.discrete and getattr(
+            adapter, "score_is_neg_val_loss", False)
+        self._kept_val: Optional[Tuple[Tensor, Tensor]] = None
+
         # sampled lower level ---------------------------------------------
         # cfg.minibatch makes every lower w step train on a neighbor-
         # sampled view around a fresh batch of training seeds; the upper
@@ -230,14 +241,23 @@ class AutoACSearcher:
             self.model.train()
             self.features.train()
 
-    def _upper_step_discrete(self) -> float:
+    def _alpha_forward(self) -> Tuple[Tensor, Tensor]:
+        """The discrete upper step's forward: ``(val loss, alpha-bar)``,
+        with grad on alpha-bar only."""
         bar_alpha = self._current_discrete_rows(requires_grad=True)
         self._set_node_weights(bar_alpha)
         # detached candidates: w is a constant of this step, so the cached
         # op outputs enter the graph as constants
+        with self._candidate_mode("detached"), self._alpha_only_pass():
+            loss = self.adapter.val_loss(self.model, self.features)
+        return loss, bar_alpha
+
+    def _upper_step_discrete(self) -> float:
+        kept, self._kept_val = self._kept_val, None
+        loss, bar_alpha = kept or self._alpha_forward()
+        # backward closures read ``requires_grad`` when they run, so w is
+        # frozen for the backward too
         with self._alpha_only_pass():
-            with self._candidate_mode("detached"):
-                loss = self.adapter.val_loss(self.model, self.features)
             if loss.requires_grad:
                 loss.backward()
         grad = bar_alpha.grad if bar_alpha.grad is not None else \
@@ -412,6 +432,21 @@ class AutoACSearcher:
             self.cluster_labels = self.em_assigner.update(self._last_h0[missing])
         self._invalidate_candidates()
 
+    def _validate(self, keep: bool) -> float:
+        """Validation score at the post-step parameters.
+
+        With ``keep`` the pass is the next upper step's forward, kept for
+        that step to backpropagate.
+        """
+        # the validation pass repopulates the candidate snapshot at the
+        # post-step weights; next epoch's upper step replays it
+        if keep:
+            self._kept_val = self._alpha_forward()
+            return -self._kept_val[0].item()
+        self._set_node_weights(self._current_discrete_rows())
+        with self._candidate_mode("detached"):
+            return self.adapter.val_score(self.model, self.features)
+
     # ------------------------------------------------------------------
     def search(self) -> SearchResult:
         """Run the bi-level search loop (Algorithm 1) to convergence.
@@ -431,48 +466,53 @@ class AutoACSearcher:
         patience_left = cfg.patience
         start = time.perf_counter()
         epochs_run = 0
-        for epoch in range(cfg.search_epochs):
-            epochs_run = epoch + 1
-            if epoch >= cfg.warmup_epochs:
-                if cfg.discrete:
-                    val_loss = self._upper_step_discrete()
-                else:
-                    val_loss = self._upper_step_mixture()
-                history["val_loss"].append(val_loss)
-            record = self._lower_step()
-            history["train_loss"].append(record["train_loss"])
-            if "lgmoc" in record:
-                history["lgmoc"].append(record["lgmoc"])
-            self._refresh_clusters()
+        try:
+            for epoch in range(cfg.search_epochs):
+                epochs_run = epoch + 1
+                if epoch >= cfg.warmup_epochs:
+                    if cfg.discrete:
+                        val_loss = self._upper_step_discrete()
+                    else:
+                        val_loss = self._upper_step_mixture()
+                    history["val_loss"].append(val_loss)
+                record = self._lower_step()
+                history["train_loss"].append(record["train_loss"])
+                if "lgmoc" in record:
+                    history["lgmoc"].append(record["lgmoc"])
+                self._refresh_clusters()
 
-            self._set_node_weights(self._current_discrete_rows())
-            # the validation pass repopulates the candidate snapshot at the
-            # post-step weights; next epoch's upper step replays it
-            with self._candidate_mode("detached"):
-                score = self.adapter.val_score(self.model, self.features)
-            history["val_score"].append(score)
-            # pure read of the current parameters — no RNG, no training
-            # effect — so timelines never perturb search determinism
-            history["alpha_entropy"].append(alpha_entropy(
-                self.alpha.values if cfg.discrete
-                else self.mixture.logits.data))
-            if score >= best_score:
-                # on exact ties keep the *latest* alpha — it has seen more
-                # search steps (validation scores plateau early on small
-                # validation splits) — but only strict improvements reset
-                # the patience budget
-                if score > best_score:
-                    patience_left = cfg.patience
+                # keep the validation graph only for an upper step that
+                # will consume it: not before a warmup epoch, not on the
+                # last epoch (an early stop drops it below)
+                next_epoch = epoch + 1
+                score = self._validate(
+                    self._reuse_val_forward
+                    and cfg.warmup_epochs <= next_epoch < cfg.search_epochs)
+                history["val_score"].append(score)
+                # pure read of the current parameters — no RNG, no training
+                # effect — so timelines never perturb search determinism
+                history["alpha_entropy"].append(alpha_entropy(
+                    self.alpha.values if cfg.discrete
+                    else self.mixture.logits.data))
+                if score >= best_score:
+                    # on exact ties keep the *latest* alpha — it has seen
+                    # more search steps (validation scores plateau early on
+                    # small validation splits) — but only strict
+                    # improvements reset the patience budget
+                    if score > best_score:
+                        patience_left = cfg.patience
+                    else:
+                        patience_left -= 1
+                    best_score = score
+                    best_alpha = (self.alpha.values.copy() if cfg.discrete
+                                  else self.mixture.logits.data.copy())
+                    best_labels = self.cluster_labels.copy()
                 else:
                     patience_left -= 1
-                best_score = score
-                best_alpha = (self.alpha.values.copy() if cfg.discrete
-                              else self.mixture.logits.data.copy())
-                best_labels = self.cluster_labels.copy()
-            else:
-                patience_left -= 1
-            if patience_left <= 0:
-                break
+                if patience_left <= 0:
+                    break
+        finally:
+            self._kept_val = None
         elapsed = time.perf_counter() - start
 
         if best_alpha is None:

@@ -8,34 +8,42 @@ implementation.
 
 Aggregation: the attention-weighted neighborhood sum
 ``out[v] = Σ_e α_e · proj[src_e]`` is a CSR×dense product with a *fixed*
-sparsity pattern (edges grouped by destination, built once per model or
-graph view and shared by every layer) and per-forward attention values,
-via :func:`~repro.tensor.weighted_spmm`.  The same pattern's edge order
-and row offsets let :func:`~repro.tensor.segment_softmax` take its
-per-destination max with one ``np.maximum.reduceat``.
+sparsity pattern (edges grouped by destination, an
+:class:`~repro.tensor.AttentionLayout` built once per model or graph view
+and shared by every layer) and per-forward attention values, via
+:func:`~repro.tensor.weighted_spmm`.
+
+Under the fused kernels the attention itself (logits, leaky ReLU,
+segment softmax, the β residual and attention dropout) is one
+:func:`~repro.tensor.csr_attention` node that works in the pattern's
+order.  There α is in pattern order: it goes straight into
+``weighted_spmm`` and, as ``alpha_prev``, into the next layer.  The
+unfused (``reference``) path keeps the composite in edge order, and its
+α is in edge order.
 
 Edge-type scores: ``<edge_table[etype_e], attn_edge>`` takes one value
-per edge type.  Under the fused kernels it is computed once per type and
-gathered to the edges.  That sums the ``edge_table`` gradient in another
-order, so the unfused (``reference``) path keeps the per-edge gather.
+per edge type.  Under the fused kernels it is computed once per type
+(:meth:`SimpleHGNLayer.type_scores`).  That sums the ``edge_table``
+gradient in another order, so the unfused path keeps the per-edge gather.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..datasets import HeteroDataset
 from ..graph.sampler import GraphView
 from ..tensor import (
+    AttentionLayout,
     Dropout,
     Linear,
     Module,
     ModuleList,
     Parameter,
-    SparseTensor,
     Tensor,
+    csr_attention,
     elu,
     fused_kernels_enabled,
     gather_rows,
@@ -49,20 +57,6 @@ from ..tensor import (
 from .base import BaseHGNN, edge_arrays_with_self_loops
 
 
-def build_attention_pattern(src: np.ndarray, dst: np.ndarray,
-                            num_nodes: int
-                            ) -> Tuple[np.ndarray, SparseTensor]:
-    """Edge order + static CSR pattern for attention-weighted aggregation.
-
-    Built once and shared by every layer of a model (the topology never
-    changes across layers, only the attention values do).
-    """
-    order = np.argsort(dst, kind="stable")
-    pattern = SparseTensor.from_edges(dst[order], src[order],
-                                      shape=(num_nodes, num_nodes))
-    return order, pattern
-
-
 class SimpleHGNLayer(Module):
     def __init__(self, in_dim: int, out_dim: int, num_heads: int,
                  edge_dim: int, num_edge_types: int,
@@ -70,8 +64,7 @@ class SimpleHGNLayer(Module):
                  num_nodes: int, negative_slope: float = 0.05,
                  beta: float = 0.05, attn_dropout: float = 0.3,
                  residual: bool = True,
-                 aggregation: Optional[Tuple[np.ndarray,
-                                             SparseTensor]] = None) -> None:
+                 layout: Optional[AttentionLayout] = None) -> None:
         super().__init__()
         if out_dim % num_heads != 0:
             raise ValueError("out_dim must be divisible by num_heads")
@@ -96,23 +89,20 @@ class SimpleHGNLayer(Module):
         self.attn_dropout = Dropout(attn_dropout)
         # static CSR pattern (dst rows, src cols); attention values are
         # filled in per forward through weighted_spmm
-        if aggregation is None:
-            aggregation = build_attention_pattern(src, dst, num_nodes)
-        self._edge_order, self._pattern = aggregation
+        if layout is None:
+            layout = AttentionLayout.build(src, dst, etype, num_nodes)
+        self._layout = layout
+
+    def type_scores(self) -> Tensor:
+        """``<edge_table[t], attn_edge>`` per edge type and head, (T, H)."""
+        return head_dot(
+            self.edge_table.reshape(-1, self.num_heads, self.edge_dim),
+            self.attn_edge)
 
     def edge_scores(self, etype: np.ndarray) -> Tensor:
-        """``<edge_table[etype_e], attn_edge>`` per edge and head, (E, H).
-
-        The score depends on the edge type alone.  Under the fused kernels
-        it is computed once per type and gathered to the edges, with the
-        same forward bits as a per-edge ``head_dot``; the unfused path
-        keeps the per-edge gather.
-        """
-        if fused_kernels_enabled():
-            type_score = head_dot(
-                self.edge_table.reshape(-1, self.num_heads, self.edge_dim),
-                self.attn_edge)
-            return gather_rows(type_score, etype)
+        """``<edge_table[etype_e], attn_edge>`` per edge and head, (E, H),
+        by a per-edge gather (the unfused path; forward bits equal to
+        :meth:`type_scores` gathered to the edges)."""
         edge_embed = gather_rows(self.edge_table, etype).reshape(
             -1, self.num_heads, self.edge_dim)
         return head_dot(edge_embed, self.attn_edge)
@@ -120,30 +110,42 @@ class SimpleHGNLayer(Module):
     def forward(self, h: Tensor, alpha_prev: Optional[Tensor] = None,
                 topo: Optional[tuple] = None):
         """One layer over the constructor topology or, for the sampled
-        path, an explicit ``(src, dst, etype, num_nodes, edge_order,
-        pattern)`` tuple in view-local ids.  Edge-type ids are shared with
-        the full graph, so the edge-type table transfers."""
+        path, an explicit ``(src, dst, etype, num_nodes, layout)`` tuple
+        in view-local ids.  Edge-type ids are shared with the full graph,
+        so the edge-type table transfers.  Returns ``(out, alpha)``, with
+        ``alpha`` in pattern order under the fused kernels and in edge
+        order otherwise (``alpha_prev`` must be in the same order)."""
         if topo is None:
             src, dst, etype, n = self.src, self.dst, self.etype, self.num_nodes
-            edge_order, pattern = self._edge_order, self._pattern
+            layout = self._layout
         else:
-            src, dst, etype, n, edge_order, pattern = topo
+            src, dst, etype, n, layout = topo
         heads = self.num_heads
         projected = self.proj(h).reshape(n, heads, self.head_dim)
         score_src = head_dot(projected, self.attn_src)
         score_dst = head_dot(projected, self.attn_dst)
-        logits = leaky_relu(
-            gather_rows(score_src, src) + gather_rows(score_dst, dst)
-            + self.edge_scores(etype),
-            self.negative_slope,
-        )
-        alpha = segment_softmax(logits, dst, n,
-                                sorted_by=(edge_order, pattern.indptr))
-        if alpha_prev is not None and self.beta > 0:
-            alpha = alpha * (1.0 - self.beta) + alpha_prev * self.beta
-        alpha = self.attn_dropout(alpha)
-        alpha_sorted = gather_rows(alpha, edge_order)  # (E, H)
-        out = weighted_spmm(pattern, alpha_sorted, projected).reshape(
+        if fused_kernels_enabled():
+            dropout = self.attn_dropout
+            alpha = csr_attention(score_src, score_dst, self.type_scores(),
+                                  layout, self.negative_slope,
+                                  alpha_prev=alpha_prev, beta=self.beta,
+                                  dropout_p=dropout.p,
+                                  training=dropout.training)
+            alpha_sorted = alpha
+        else:
+            logits = leaky_relu(
+                gather_rows(score_src, src) + gather_rows(score_dst, dst)
+                + self.edge_scores(etype),
+                self.negative_slope,
+            )
+            alpha = segment_softmax(
+                logits, dst, n,
+                sorted_by=(layout.order, layout.pattern.indptr))
+            if alpha_prev is not None and self.beta > 0:
+                alpha = alpha * (1.0 - self.beta) + alpha_prev * self.beta
+            alpha = self.attn_dropout(alpha)
+            alpha_sorted = gather_rows(alpha, layout.order)  # (E, H)
+        out = weighted_spmm(layout.pattern, alpha_sorted, projected).reshape(
             n, heads * self.head_dim)
         if self.residual_proj is not None:
             out = out + self.residual_proj(h)
@@ -164,13 +166,13 @@ class SimpleHGN(BaseHGNN):
         n = dataset.graph.num_nodes
         self.num_layers = num_layers
         self.normalize_output = normalize_output
-        aggregation = build_attention_pattern(src, dst, n)
+        layout = AttentionLayout.build(src, dst, etype, n)
         dims = [hidden_dim] * num_layers + [out_dim]
         self.layers = ModuleList([
             SimpleHGNLayer(dims[i], dims[i + 1], num_heads, edge_dim,
                            num_edge_types, src, dst, etype, n,
                            negative_slope=negative_slope, beta=beta,
-                           aggregation=aggregation)
+                           layout=layout)
             for i in range(num_layers)
         ])
         self.dropout = Dropout(dropout)
@@ -178,16 +180,16 @@ class SimpleHGN(BaseHGNN):
     def _view_topology(self, view: GraphView) -> tuple:
         """The layer-shared topology tuple of a view, memoized on it.
 
-        The attention CSR pattern depends only on the view's topology, so
+        The attention layout depends only on the view's topology, so
         every SimpleHGN layer — and every SimpleHGN instance run over the
-        same view — shares one pattern.
+        same view — shares one layout.
         """
         src, dst, etype, _ = view.edge_arrays_with_self_loops()
         n = view.num_nodes
-        edge_order, pattern = view.cached(
-            ("attention_pattern",),
-            lambda: build_attention_pattern(src, dst, n))
-        return (src, dst, etype, n, edge_order, pattern)
+        layout = view.cached(
+            ("attention_layout",),
+            lambda: AttentionLayout.build(src, dst, etype, n))
+        return (src, dst, etype, n, layout)
 
     def encode(self, h0: Tensor, view: Optional[GraphView] = None) -> Tensor:
         topo = None if view is None else self._view_topology(view)
@@ -202,4 +204,4 @@ class SimpleHGN(BaseHGNN):
         return h
 
 
-__all__ = ["SimpleHGN", "SimpleHGNLayer", "build_attention_pattern"]
+__all__ = ["SimpleHGN", "SimpleHGNLayer"]

@@ -22,18 +22,22 @@ The fast runtime profile (:mod:`repro.perf.profiles`) switches them on.
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _flags
 from ._profile import profiled
+from .dtype import get_default_dtype
 from .random import get_rng, random_values
+from .sparse import SparseTensor
 from .tensor import (
     Tensor,
     ensure_tensor,
     gather_rows,
     is_grad_enabled,
+    leaky_relu_data,
+    leaky_relu_factor,
     scatter_accumulate,
     scatter_add,
 )
@@ -391,6 +395,140 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray,
                                       sorted_by)
 
 
+class AttentionLayout(NamedTuple):
+    """Edges grouped by destination, as :func:`csr_attention` reads them.
+
+    ``pattern`` is the edges' CSR matrix (destination rows, source
+    columns) after a stable sort by destination: pattern entry ``k`` is
+    edge ``order[k]``, so every row keeps its edges in edge order.  The
+    other arrays are the per-edge ones the attention needs, computed once
+    per topology by :meth:`build` and shared by every layer.
+    """
+
+    pattern: SparseTensor
+    order: np.ndarray         # edge index of each pattern entry
+    src: np.ndarray           # per edge, edge order
+    etype: np.ndarray         # per edge, edge order
+    etype_sorted: np.ndarray  # etype[order]
+    counts: np.ndarray        # entries per row
+    filled: np.ndarray        # rows with at least one entry
+    starts: np.ndarray        # first entry of each filled row
+
+    @classmethod
+    def build(cls, src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
+              num_nodes: int) -> "AttentionLayout":
+        src = np.asarray(src, dtype=np.int64)
+        etype = np.asarray(etype, dtype=np.int64)
+        order = np.argsort(dst, kind="stable")
+        pattern = SparseTensor.from_edges(np.asarray(dst)[order], src[order],
+                                          shape=(num_nodes, num_nodes))
+        counts = np.diff(pattern.indptr)
+        filled = counts > 0
+        return cls(pattern, order, src, etype, etype[order], counts, filled,
+                   pattern.indptr[:-1][filled])
+
+
+@profiled
+def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
+                  layout: AttentionLayout, negative_slope: float,
+                  alpha_prev: Optional[Tensor] = None, beta: float = 0.0,
+                  dropout_p: float = 0.0, training: bool = False) -> Tensor:
+    """SimpleHGN's edge attention as one node, in ``layout.pattern`` order.
+
+    Per edge ``e = (u → v)`` of type ``t``, with ``a = softmax`` over the
+    edges into ``v``::
+
+        alpha_e = dropout((1 - beta) · a(leaky_relu(s_src[u] + s_dst[v]
+                                                    + type_score[t]))
+                          + beta · alpha_prev_e)
+
+    ``score_src``/``score_dst`` are ``(N, H)``, ``type_score`` ``(T, H)``;
+    ``alpha_prev`` and the result are ``(E, H)`` in pattern order, so the
+    result goes straight into :func:`~repro.tensor.weighted_spmm` and the
+    next layer.  The residual applies when ``alpha_prev`` is given and
+    ``beta > 0``; dropout when ``training`` and ``dropout_p > 0``.
+
+    Values and gradients are bit-identical to the composite chain it
+    replaces (gathers, adds, :func:`leaky_relu`, the fused
+    :func:`segment_softmax`, the residual, :func:`dropout`, then a gather
+    into pattern order): the same float operations, with per-destination
+    gathers as ``np.repeat`` and every scatter visiting a segment's
+    entries in edge order.  The dropout mask is drawn over ``(E, H)`` in
+    edge order, so every edge keeps its random number.
+    """
+    score_src = ensure_tensor(score_src)
+    score_dst = ensure_tensor(score_dst)
+    type_score = ensure_tensor(type_score)
+    pattern, counts = layout.pattern, layout.counts
+    dst = pattern.row_of_nnz
+    logits = (score_src.data[pattern.indices]
+              + np.repeat(score_dst.data, counts, axis=0)) \
+        + type_score.data[layout.etype_sorted]
+    positive = logits > 0
+    act = leaky_relu_data(logits, negative_slope)
+
+    # segment softmax, stabilized by the (detached) per-destination max
+    shift = np.zeros(score_dst.shape, dtype=act.dtype)
+    if layout.starts.size:
+        seg_max = np.maximum.reduceat(act, layout.starts, axis=0)
+        shift[layout.filled] = np.where(np.isfinite(seg_max), seg_max, 0.0)
+    exp_scores = np.exp(act - np.repeat(shift, counts, axis=0))
+    denom = np.zeros(score_dst.shape, dtype=exp_scores.dtype)
+    scatter_accumulate(denom, dst, exp_scores)
+    soft = exp_scores / (np.repeat(denom, counts, axis=0) + 1e-16)
+
+    parents = (score_src, score_dst, type_score)
+    alpha = soft
+    residual = alpha_prev is not None and beta > 0
+    if residual:
+        alpha_prev = ensure_tensor(alpha_prev)
+        parents += (alpha_prev,)
+        keep_w = np.asarray(1.0 - beta, dtype=get_default_dtype())
+        prev_w = np.asarray(beta, dtype=get_default_dtype())
+        alpha = soft * keep_w + alpha_prev.data * prev_w
+    drop = training and dropout_p > 0.0
+    if drop:
+        if dropout_p >= 1.0:
+            raise ValueError("dropout probability must be < 1")
+        mask = (random_values(alpha.shape, dtype=alpha.dtype)
+                >= dropout_p).astype(alpha.dtype) / (1.0 - dropout_p)
+        mask = mask[layout.order]
+        alpha = alpha * mask
+
+    out = Tensor(alpha, requires_grad=_needs_grad(*parents))
+    if out.requires_grad:
+        def backward(grad: np.ndarray) -> None:
+            if drop:
+                grad = grad * mask
+            if residual:
+                if alpha_prev.requires_grad:
+                    alpha_prev.accumulate_grad(grad * prev_w)
+                grad = grad * keep_w
+            weighted = soft * grad
+            seg_dot = np.zeros(score_dst.shape, dtype=weighted.dtype)
+            scatter_accumulate(seg_dot, dst, weighted)
+            g_logits = (weighted - soft * np.repeat(seg_dot, counts, axis=0)) \
+                * leaky_relu_factor(positive, negative_slope)
+            # the derivative factor is float64, as in leaky_relu's
+            # backward; accumulate_grad casts the product back the same way
+            g_logits = g_logits.astype(logits.dtype, copy=False)
+            if score_dst.requires_grad:
+                g_dst = np.zeros_like(score_dst.data)
+                scatter_accumulate(g_dst, dst, g_logits)
+                score_dst.accumulate_grad(g_dst)
+            # the source and type gradients sum in edge order
+            per_edge = np.empty_like(g_logits)
+            per_edge[layout.order] = g_logits
+            for scores, index in ((score_src, layout.src),
+                                  (type_score, layout.etype)):
+                if scores.requires_grad:
+                    full = np.zeros_like(scores.data)
+                    scatter_accumulate(full, index, per_edge)
+                    scores.accumulate_grad(full)
+        out._rig(parents, backward)
+    return out
+
+
 @profiled
 def head_dot(x: Tensor, vec: Tensor) -> Tensor:
     """Fused per-head dot product ``(x * vec).sum(axis=-1)``.
@@ -497,6 +635,8 @@ __all__ = [
     "segment_max_data",
     "segment_softmax",
     "segment_weighted_mean",
+    "AttentionLayout",
+    "csr_attention",
     "attention_aggregate",
     "head_dot",
     "embedding",

@@ -1,10 +1,10 @@
 """Byte-for-byte parity of SimpleHGN's attention kernels.
 
 The block-diagonal ``weighted_spmm``, its chunked value gradient, the
-``reduceat`` segment max and the per-type edge score replace slower
-formulations of the same sums.  Each must reproduce the formulation it
-replaced bit for bit (the ``reference`` profile's figures depend on it),
-in float32 and float64.
+``reduceat`` segment max, the per-type edge score and the one-node
+``csr_attention`` replace slower formulations of the same sums.  Each
+must reproduce the formulation it replaced bit for bit (the
+``reference`` profile's figures depend on it), in float32 and float64.
 """
 
 from __future__ import annotations
@@ -15,12 +15,18 @@ import scipy.sparse as sp
 
 from repro.models import build_model
 from repro.tensor import (
+    AttentionLayout,
     SparseTensor,
     Tensor,
+    csr_attention,
+    dropout,
     fused_kernels,
     gather_rows,
+    get_rng,
     gradcheck,
-    head_dot,
+    leaky_relu,
+    manual_seed,
+    segment_softmax,
     set_default_dtype,
     weighted_spmm,
 )
@@ -146,11 +152,8 @@ class TestPerTypeEdgeScore:
                                 out_dim=32)
             layer = model.layers[0]
             with fused_kernels():
-                per_type = layer.edge_scores(layer.etype)
-                edge_embed = gather_rows(layer.edge_table, layer.etype)
-                per_edge = head_dot(
-                    edge_embed.reshape(-1, layer.num_heads, layer.edge_dim),
-                    layer.attn_edge)
+                per_type = gather_rows(layer.type_scores(), layer.etype)
+                per_edge = layer.edge_scores(layer.etype)
         assert per_type.data.dtype == dtype
         assert per_type.shape == (layer.etype.shape[0], layer.num_heads)
         assert per_type.data.tobytes() == per_edge.data.tobytes()
@@ -161,5 +164,121 @@ class TestPerTypeEdgeScore:
         layer = model.layers[0]
         etype = layer.etype[:: max(1, layer.etype.shape[0] // 50)]
         with fused_kernels():
-            assert gradcheck(lambda table, vec: layer.edge_scores(etype),
-                             [layer.edge_table, layer.attn_edge])
+            assert gradcheck(
+                lambda table, vec: gather_rows(layer.type_scores(), etype),
+                [layer.edge_table, layer.attn_edge])
+
+
+def _composite_attention(score_src, score_dst, type_score, layout, dst,
+                         slope, alpha_prev, beta, p, training):
+    """The chain ``csr_attention`` replaces, in edge order, then gathered
+    into pattern order (SimpleHGN's layer before the fused node)."""
+    n = score_dst.shape[0]
+    logits = leaky_relu(gather_rows(score_src, layout.src)
+                        + gather_rows(score_dst, dst)
+                        + gather_rows(type_score, layout.etype), slope)
+    alpha = segment_softmax(logits, dst, n,
+                            sorted_by=(layout.order, layout.pattern.indptr))
+    if alpha_prev is not None and beta > 0:
+        alpha = alpha * (1.0 - beta) + alpha_prev * beta
+    return gather_rows(dropout(alpha, p, training=training), layout.order)
+
+
+class TestCsrAttention:
+    """``csr_attention`` against the composite chain, byte for byte."""
+
+    @staticmethod
+    def _run(dtype, heads, beta, training, with_prev=True, seed=0):
+        rng = np.random.default_rng(seed)
+        n, num_types, num_edges = 30, 3, 200
+        # destinations skip 0, 7 and 29: empty segments, incl. the last
+        dst = rng.choice(np.setdiff1d(np.arange(n), [0, 7, 29]),
+                         size=num_edges)
+        dst[:40] = 11  # one long segment
+        src = rng.integers(0, n, size=num_edges)
+        etype = rng.integers(0, num_types, size=num_edges)
+        layout = AttentionLayout.build(src, dst, etype, n)
+        inputs = {"s_src": rng.normal(size=(n, heads)) * 3,
+                  "s_dst": rng.normal(size=(n, heads)) * 3,
+                  "types": rng.normal(size=(num_types, heads)),
+                  "prev": rng.uniform(size=(num_edges, heads))}
+        weight = rng.normal(size=(num_edges, heads))  # pattern order
+        results = []
+        with set_default_dtype(dtype), fused_kernels():
+            for fused in (False, True):
+                leaves = {k: Tensor(v, requires_grad=True)
+                          for k, v in inputs.items()}
+                prev = leaves["prev"] if with_prev else None
+                manual_seed(seed)
+                if fused:
+                    if prev is not None:  # the node reads pattern order
+                        prev = Tensor(inputs["prev"][layout.order],
+                                      requires_grad=True)
+                        leaves["prev"] = prev
+                    alpha = csr_attention(
+                        leaves["s_src"], leaves["s_dst"], leaves["types"],
+                        layout, 0.05, alpha_prev=prev, beta=beta,
+                        dropout_p=0.3, training=training)
+                else:
+                    alpha = _composite_attention(
+                        leaves["s_src"], leaves["s_dst"], leaves["types"],
+                        layout, dst, 0.05, prev, beta, 0.3, training)
+                (alpha * Tensor(weight)).sum().backward()
+                grads = {k: t.grad for k, t in leaves.items()
+                         if t.grad is not None}
+                if fused and "prev" in grads:  # back to edge order
+                    edge_order = np.empty_like(grads["prev"])
+                    edge_order[layout.order] = grads["prev"]
+                    grads["prev"] = edge_order
+                # the next draw shows both left the generator alike
+                results.append((alpha.data, grads, get_rng().random()))
+        return results
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("heads", [1, 4, 9])
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_composite(self, dtype, heads, beta, training):
+        (want, want_grads, want_next), (got, got_grads, got_next) = \
+            self._run(dtype, heads, beta, training)
+        assert got_next == want_next
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        expected = {"s_src", "s_dst", "types"} | ({"prev"} if beta else set())
+        assert set(got_grads) == set(want_grads) == expected
+        for name in expected:
+            assert got_grads[name].dtype == want_grads[name].dtype, name
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), \
+                name
+
+    def test_without_alpha_prev(self):
+        (want, want_grads, _), (got, got_grads, _) = self._run(
+            np.float32, 4, 0.05, True, with_prev=False)
+        assert got.tobytes() == want.tobytes()
+        assert set(got_grads) == set(want_grads) == {"s_src", "s_dst",
+                                                     "types"}
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes()
+
+    def test_dropout_only_in_training(self):
+        """From the same generator state, training drops entries and
+        draws; eval drops none and draws nothing."""
+        _, (train, _, train_next) = self._run(np.float32, 4, 0.05, True)
+        _, (evaluated, _, eval_next) = self._run(np.float32, 4, 0.05, False)
+        assert (train == 0).any() and not (evaluated == 0).any()
+        manual_seed(0)
+        assert eval_next == get_rng().random() != train_next
+
+    def test_simple_hgn_alpha_is_in_pattern_order(self, imdb_tiny):
+        model = build_model("simple_hgn", imdb_tiny, hidden_dim=16,
+                            out_dim=16)
+        model.eval()
+        layer = model.layers[0]
+        h = Tensor(np.random.default_rng(0).normal(size=(
+            imdb_tiny.graph.num_nodes, 16)))
+        _, edge_order = layer(h)
+        with fused_kernels():
+            _, pattern_order = layer(h)
+        np.testing.assert_allclose(pattern_order.data,
+                                   edge_order.data[layer._layout.order],
+                                   atol=1e-12)

@@ -341,6 +341,99 @@ class TestUpperStepFrozenW:
         assert frozen.alpha.values.tobytes() == live.alpha.values.tobytes()
 
 
+class TestKeptValidationGraph:
+    """The validation forward feeds the next discrete upper step."""
+
+    @staticmethod
+    def _searcher(dataset, **overrides):
+        set_seed(0)
+        config = AutoACConfig(**{"search_epochs": 5, "num_clusters": 3,
+                                 "warmup_epochs": 1, **overrides})
+        return AutoACSearcher(NodeClassificationAdapter(dataset),
+                              "simple_hgn", config, seed=0)
+
+    def test_kept_backward_builds_no_w_gradient(self, imdb_tiny,
+                                                monkeypatch):
+        searcher = self._searcher(imdb_tiny)
+        assert searcher._reuse_val_forward
+        kept, checks = [], []
+        validate = searcher._validate
+
+        def spy_validate(keep):
+            score = validate(keep)
+            if searcher._kept_val is not None:
+                kept.append(searcher._kept_val)
+            return score
+
+        backward = Tensor.backward
+
+        def spy_backward(tensor, *args, **kwargs):
+            pair = next((p for p in kept if p[0] is tensor), None)
+            if pair is None:
+                return backward(tensor, *args, **kwargs)
+            frozen = not any(p.requires_grad for p in searcher._w_params)
+            backward(tensor, *args, **kwargs)
+            checks.append((frozen,
+                           all(p.grad is None for p in searcher._w_params),
+                           pair[1].grad is not None))
+
+        monkeypatch.setattr(searcher, "_validate", spy_validate)
+        monkeypatch.setattr(Tensor, "backward", spy_backward)
+        searcher.search()
+        # epochs 0-3 keep a graph for the upper steps of epochs 1-4
+        assert len(kept) == 4
+        assert checks == [(True, True, True)] * 4
+
+    def test_no_graph_held_after_a_full_run(self, imdb_tiny):
+        searcher = self._searcher(imdb_tiny)
+        result = searcher.search()
+        assert result.epochs_run == 5
+        assert searcher._kept_val is None
+
+    def test_no_graph_held_after_early_stop(self, imdb_tiny, monkeypatch):
+        searcher = self._searcher(imdb_tiny, search_epochs=30, patience=1)
+        held = []
+        validate = searcher._validate
+
+        def spy_validate(keep):
+            validate(keep)
+            held.append(searcher._kept_val is not None)
+            return -float(len(held))  # falling scores: stop at epoch 1
+
+        monkeypatch.setattr(searcher, "_validate", spy_validate)
+        result = searcher.search()
+        assert result.epochs_run == 2
+        assert held == [True, True]  # the stopping epoch kept a graph
+        assert searcher._kept_val is None
+
+    def test_no_graph_held_when_the_search_raises(self, imdb_tiny,
+                                                  monkeypatch):
+        import repro.core.search as search_module
+
+        searcher = self._searcher(imdb_tiny)
+        held = []
+
+        def failing_entropy(values):
+            # runs right after the validation pass, while a graph is kept
+            held.append(searcher._kept_val is not None)
+            raise RuntimeError("entropy failed")
+
+        monkeypatch.setattr(search_module, "alpha_entropy", failing_entropy)
+        with pytest.raises(RuntimeError, match="entropy failed"):
+            searcher.search()
+        assert held == [True]
+        assert searcher._kept_val is None
+        assert all(p.requires_grad for p in searcher._w_params)
+        assert searcher.model.training and searcher.features.training
+
+    def test_link_prediction_keeps_nothing(self, lastfm_tiny):
+        set_seed(0)
+        task = LinkPredictionTask(lastfm_tiny, mask_rate=0.1, seed=0)
+        searcher = AutoACSearcher(LinkPredictionAdapter(task), "gcn",
+                                  AutoACConfig(search_epochs=2), seed=0)
+        assert not searcher._reuse_val_forward
+
+
 class TestPipeline:
     def test_run_autoac_end_to_end(self, imdb_tiny):
         set_seed(0)

@@ -289,7 +289,10 @@ CACHE_CASES = {
 
 class TestCandidateCache:
     @staticmethod
-    def _searcher(dataset_name="imdb", model="simple_hgn", **cfg_kwargs):
+    def _searcher(dataset_name="imdb", model="simple_hgn",
+                  claim_score=True, **cfg_kwargs):
+        """A 5-epoch tiny search; ``claim_score=False`` makes its adapter
+        not claim ``score == -val_loss``, so nothing is kept."""
         from repro.core import AutoACConfig
         from repro.core.adapters import (LinkPredictionAdapter,
                                          NodeClassificationAdapter)
@@ -306,6 +309,8 @@ class TestCandidateCache:
                 LinkPredictionTask(dataset, mask_rate=0.1, seed=0))
         else:
             adapter = NodeClassificationAdapter(dataset)
+        if not claim_score:
+            adapter.score_is_neg_val_loss = False
         config = AutoACConfig(search_epochs=5, patience=50, warmup_epochs=1,
                               **cfg_kwargs)
         return AutoACSearcher(adapter, model, config, seed=0)
@@ -327,6 +332,27 @@ class TestCandidateCache:
                                   getattr(cached, name)), name
         assert uncached.history == cached.history
         assert uncached.best_val_score == cached.best_val_score
+
+    @pytest.mark.parametrize("case", list(CACHE_CASES))
+    def test_kept_validation_graph_is_bitwise_identical(self, case):
+        """Backpropagating the kept validation forward gives the search
+        a control that runs a fresh upper-step forward gives."""
+        dataset_name, model, profile, cfg_kwargs = CACHE_CASES[case]
+        results = []
+        for claim in (False, True):
+            with runtime_profile(profile):
+                searcher = self._searcher(dataset_name, model,
+                                          claim_score=claim, **cfg_kwargs)
+                keeps = (claim and searcher.config.discrete
+                         and dataset_name != "lastfm")
+                assert searcher._reuse_val_forward == keeps
+                results.append(searcher.search())
+        control, kept = results
+        for name in ("alpha", "assignment", "cluster_labels"):
+            assert np.array_equal(getattr(control, name),
+                                  getattr(kept, name)), name
+        assert control.history == kept.history
+        assert control.best_val_score == kept.best_val_score
 
     def test_cache_disabled_for_unrolled_mixture(self):
         searcher = self._searcher(discrete=False, unrolled=True)

@@ -106,19 +106,24 @@ def test_simple_hgn_layer_matches_scatter_reference(imdb_tiny):
     out_weight = rng.normal(size=(n, 32))
     alpha_weight = rng.normal(size=alpha_prev.shape)
 
-    def run(forward):
+    def run(forward, order=slice(None)):
+        """``order`` puts α and ``alpha_prev`` in the layer's order."""
         layer.zero_grad()
         h = Tensor(h0.copy(), requires_grad=True)
-        out, alpha = forward(h)
-        ((out * out_weight).sum() + (alpha * alpha_weight).sum()).backward()
+        out, alpha = forward(h, Tensor(alpha_prev.data[order]))
+        ((out * out_weight).sum()
+         + (alpha * alpha_weight[order]).sum()).backward()
         grads = {name: p.grad.copy() for name, p in layer.named_parameters()}
         return out.data, alpha.data, h.grad, grads
 
-    expected = run(lambda h: _scatter_layer(layer, h, alpha_prev))
+    expected = run(lambda h, prev: _scatter_layer(layer, h, prev))
     for fused in (False, True):
+        # under the fused kernels α runs in the attention pattern's order
+        order = layer._layout.order if fused else slice(None)
         with fused_kernels(fused):
-            got = run(lambda h: layer(h, alpha_prev))
-        for name, a, b in zip(("out", "alpha", "h.grad"), got, expected):
+            got = run(lambda h, prev: layer(h, prev), order)
+        want = (expected[0], expected[1][order], expected[2])
+        for name, a, b in zip(("out", "alpha", "h.grad"), got, want):
             np.testing.assert_allclose(a, b, atol=1e-6,
                                        err_msg=f"{name}, fused={fused}")
         assert set(got[3]) == set(expected[3])

@@ -24,6 +24,7 @@ from repro.tensor import (
     scatter_add,
     sigmoid,
     spmm,
+    set_default_dtype,
     sqrt,
     stack,
     tanh,
@@ -104,6 +105,59 @@ class TestUnary:
         a = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
         clip(a, 0.0, 1.0).sum().backward()
         np.testing.assert_allclose(a.grad, [0.0, 1.0, 0.0])
+
+
+#: float edge cases for the activation byte-equality checks
+ACTIVATION_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0,
+                       -1.0, 1e30, -1e30, 1e-40, -1e-40, 1e-45, -1e-45,
+                       5e-324, -5e-324, -1e-300]
+
+
+def _where_leaky_relu(x, slope, grad):
+    positive = x > 0
+    return (np.where(positive, x, slope * x),
+            grad * np.where(positive, 1.0, slope))
+
+
+def _where_elu(x, alpha, grad):
+    positive = x > 0
+    exp_part = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
+    return (np.where(positive, x, exp_part),
+            grad * np.where(positive, 1.0, exp_part + alpha))
+
+
+class TestBranchFreeActivations:
+    """``leaky_relu`` and ``elu`` give the bytes of their ``np.where``
+    forms, forward and gradient, in and outside the branch-free range."""
+
+    @staticmethod
+    def _check(fn, where_form, coefficient, dtype):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.array(ACTIVATION_SPECIALS),
+                            rng.normal(size=500),
+                            rng.normal(size=100) * 1e-42]).astype(dtype)
+        grad = rng.normal(size=x.shape).astype(dtype)
+        with np.errstate(all="ignore"), set_default_dtype(dtype):
+            a = Tensor(x, requires_grad=True)
+            out = fn(a, coefficient)
+            out.backward(grad)
+            want_out, want_grad = where_form(x, coefficient, grad)
+        # a leaf's first gradient is stored as ``grad + 0.0`` in its dtype
+        want_grad = np.add(want_grad, 0.0, out=np.empty_like(x))
+        assert out.data.dtype == want_out.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert a.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [1e-30, 0.01, 0.05, 0.2, 1.0,
+                                       0.0, 1.5, -0.1])
+    def test_leaky_relu(self, dtype, slope):
+        self._check(leaky_relu, _where_leaky_relu, slope, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [2.0 ** -64, 0.5, 1.0, 0.0, 2.0])
+    def test_elu(self, dtype, alpha):
+        self._check(elu, _where_elu, alpha, dtype)
 
 
 class TestMatmul:

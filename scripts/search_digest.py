@@ -9,17 +9,31 @@ perfbench ``search`` workload's: ``run_autoac`` with simple_hgn on imdb,
 
     PYTHONPATH=src python3 scripts/search_digest.py             # imdb small
     PYTHONPATH=src python3 scripts/search_digest.py --scale tiny
+    PYTHONPATH=src python3 scripts/search_digest.py --base main
 
 ``reference`` runs seed 1 and ``fast`` seeds 1–5.  The ``alpha`` column
 is the SHA-1 of α's bytes alone.
+
+``--base REV`` runs the digest on an export of git revision ``REV``
+(``git archive`` into a temporary directory) and on this tree, prints
+each line of the two side by side, and exits 1 if any ``reference``
+line differs: ``reference`` results must stay bit-identical, while a
+``fast`` change may be stated instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import os
+import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -56,12 +70,60 @@ def digest(profile: str, seed: int, scale: str) -> tuple:
     return run.hexdigest(), alpha.hexdigest()
 
 
+LINE = re.compile(r"^(\w+)\s+seed (\d+)\s+([0-9a-f]{40})\s+alpha ([0-9a-f]+)")
+
+
+def tree_digests(tree: Path, scale: str) -> dict:
+    """``{(profile, seed): (run digest, α prefix)}`` of ``tree``'s own
+    digest script, run in a fresh process on that tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    result = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "search_digest.py"),
+         "--scale", scale],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    lines = (LINE.match(line) for line in result.stdout.splitlines())
+    return {(m[1], int(m[2])): (m[3], m[4]) for m in lines if m}
+
+
+def compare_with_base(rev: str, scale: str) -> int:
+    """Digest ``rev`` and this tree; 1 if a ``reference`` line differs."""
+    here = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=here, stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory(prefix="search-digest-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # the "data" filter (where this Python has it) refuses links
+            # and paths that leave the directory
+            safe = hasattr(tarfile, "data_filter")
+            tar.extractall(tmp, **({"filter": "data"} if safe else {}))
+        base = tree_digests(Path(tmp), scale)
+    current = tree_digests(here, scale)
+    print(f"{'profile':9s} {'seed':>4s}  {'base ' + rev:52s}  this tree")
+    failed = False
+    for key in sorted(set(base) | set(current),
+                      key=lambda k: (k[0] != "reference", k)):
+        old, new = base.get(key), current.get(key)
+        same = old == new
+        failed |= key[0] == "reference" and not same
+        show = [f"{d[0]}  alpha {d[1]}" if d else "(missing)"
+                for d in (old, new)]
+        print(f"{key[0]:9s} {key[1]:4d}  {show[0]:52s}  {show[1]}  "
+              f"{'same' if same else 'DIFFERS'}")
+    if failed:
+        print("reference digests differ from the base", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main() -> int:
     from repro.datasets.registry import SCALES
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="small", choices=sorted(SCALES))
+    parser.add_argument("--base", metavar="REV",
+                        help="compare with git revision REV")
     args = parser.parse_args()
+    if args.base:
+        return compare_with_base(args.base, args.scale)
     for profile, seeds in SEEDS.items():
         for seed in seeds:
             start = time.perf_counter()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,11 +34,15 @@ from ..tensor import (
     get_default_dtype,
     is_grad_enabled,
     no_grad,
-    scatter_add,
+    place_rows,
 )
 from .base import CompletionOp
 from .ops import OneHotCompletion
 from .space import SearchSpace
+
+
+#: rows of ``h0`` and where they go: ``(values, row ids)``
+Block = Tuple[Tensor, np.ndarray]
 
 
 class AttributeProjector(Module):
@@ -59,71 +63,56 @@ class AttributeProjector(Module):
             for node_type in dataset.attributed_types
         }
 
-    def forward(self, view: Optional[GraphView] = None) -> Tensor:
-        """Project every attributed type; V⁻ rows stay zero.
+    def forward(self, view: Optional[GraphView] = None) -> List[Block]:
+        """Project every attributed type into ``(rows, ids)`` blocks.
 
-        Full graph: ``(N, hidden)``.  With a :class:`~repro.graph.GraphView`
-        only the view's attributed members are gathered and projected, so
-        both the output and every intermediate are ``(V, hidden)``-sized.
+        ``ids`` are the block's rows in ``h0``: global ids on the full
+        graph, view-local ids for a :class:`~repro.graph.GraphView` (only
+        the view's attributed members are gathered and projected, so
+        every block is view-sized).  :class:`FeatureBuilder` places the
+        blocks; V⁻ rows are not in any of them.
         """
-        if view is None:
-            n = self.dataset.graph.num_nodes
-            pieces = []
-            for node_type in self.dataset.attributed_types:
-                raw = Tensor(self._raw[node_type])
-                projected = self.projections[node_type](raw)
+        blocks = []
+        for node_type in self.dataset.attributed_types:
+            if view is None:
+                raw = self._raw[node_type]
                 ids = self.dataset.graph.global_ids(node_type)
-                pieces.append(scatter_add(projected, ids, n))
-            if not pieces:
-                raise ValueError("dataset has no attributed node types")
-        else:
-            n = view.num_nodes
-            pieces = []
-            for node_type in self.dataset.attributed_types:
-                view_local, parent_local = view.type_members(node_type)
-                if view_local.size == 0:
+            else:
+                ids, parent_local = view.type_members(node_type)
+                if ids.size == 0:
                     continue
-                raw = Tensor(self._raw[node_type][parent_local])
-                projected = self.projections[node_type](raw)
-                pieces.append(scatter_add(projected, view_local, n))
-            if not pieces:  # a batch may touch no attributed node at all
-                return Tensor(np.zeros((n, self.hidden_dim),
-                                       dtype=get_default_dtype()))
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = out + piece
-        return out
+                raw = np.take(self._raw[node_type], parent_local, axis=0)
+            blocks.append((self.projections[node_type](Tensor(raw)), ids))
+        if view is None and not blocks:
+            raise ValueError("dataset has no attributed node types")
+        return blocks
 
-    def forward_from_cache(self, value: Optional[np.ndarray]) -> Tensor:
-        """Reuse a captured output value; rig the live backward only.
+    def forward_from_cache(self, values: Sequence[np.ndarray]) -> List[Block]:
+        """Full-graph blocks from captured values; rig the live backward.
 
-        Valid as long as no projection weight changed since ``value`` was
-        computed.  The backward issues exactly the gathers/matmuls the
-        live composite would (scatter-add adjoint then the Linear
-        adjoints), so gradients are bit-identical to a recomputation.
+        ``values`` are the block values of an earlier :meth:`forward`,
+        valid while no projection weight has changed.  Each block's
+        backward issues the Linear adjoints the live block would, so
+        gradients are bit-identical to a recomputation; a frozen
+        projection gets no gradient, as on the live path.
         """
-        if value is None:
-            return self.forward()
-        params = [p for p in self.parameters() if p.requires_grad]
-        out = Tensor(value, requires_grad=is_grad_enabled() and bool(params))
-        if out.requires_grad:
-            def backward(grad: np.ndarray) -> None:
-                for node_type in self.dataset.attributed_types:
-                    linear = self.projections[node_type]
-                    wants_weight = linear.weight.requires_grad
-                    wants_bias = (linear.bias is not None
-                                  and linear.bias.requires_grad)
-                    if not wants_weight and not wants_bias:
-                        continue  # frozen projection: match the live path
-                    ids = self.dataset.graph.global_ids(node_type)
-                    grad_rows = grad[ids]
-                    if wants_weight:
-                        linear.weight.accumulate_grad(
-                            np.matmul(self._raw[node_type].T, grad_rows))
-                    if wants_bias:
-                        linear.bias.accumulate_grad(grad_rows.sum(axis=0))
-            out._rig(tuple(params), backward)
-        return out
+        blocks = []
+        for node_type, value in zip(self.dataset.attributed_types, values):
+            linear = self.projections[node_type]
+            params = tuple(p for p in (linear.weight, linear.bias)
+                           if p is not None and p.requires_grad)
+            out = Tensor(value,
+                         requires_grad=is_grad_enabled() and bool(params))
+            if out.requires_grad:
+                def backward(grad: np.ndarray, linear=linear,
+                             raw=self._raw[node_type]) -> None:
+                    if linear.weight.requires_grad:
+                        linear.weight.accumulate_grad(np.matmul(raw.T, grad))
+                    if linear.bias is not None and linear.bias.requires_grad:
+                        linear.bias.accumulate_grad(grad.sum(axis=0))
+                out._rig(params, backward)
+            blocks.append((out, self.dataset.graph.global_ids(node_type)))
+        return blocks
 
 
 class FeatureBuilder(Module):
@@ -165,26 +154,32 @@ class FeatureBuilder(Module):
             return positions, rows_all[positions]
         return view.cached(("missing_rows", id(self.dataset)), build)
 
-    def _projected(self, view: Optional[GraphView] = None) -> Tensor:
-        """The projected-V⁺ block ``h0`` starts from (overridable hook)."""
+    def _projected(self, view: Optional[GraphView] = None) -> List[Block]:
+        """The projected-V⁺ blocks of ``h0`` (overridable hook)."""
         return self.projector(view)
 
     def forward(self, view: Optional[GraphView] = None) -> Tensor:
+        """``h0``: the projected V⁺ blocks and the completed V⁻ rows,
+        placed by one :func:`~repro.tensor.place_rows` node (node types
+        partition the rows)."""
+        blocks = self._projected(view)
         if view is None:
-            h0 = self._projected()
+            n = self.dataset.graph.num_nodes
             completed = self.completed()
             if completed is not None and self.dataset.missing_global_ids.size:
-                h0 = h0 + scatter_add(completed,
-                                      self.dataset.missing_global_ids,
-                                      self.dataset.graph.num_nodes)
-            return h0
-        h0 = self._projected(view)
-        positions, rows = self._view_missing(view)
-        if rows.size:
-            completed = self.completed_rows(rows)
-            if completed is not None:
-                h0 = h0 + scatter_add(completed, positions, view.num_nodes)
-        return h0
+                blocks.append((completed, self.dataset.missing_global_ids))
+        else:
+            n = view.num_nodes
+            positions, rows = self._view_missing(view)
+            if rows.size:
+                completed = self.completed_rows(rows)
+                if completed is not None:
+                    blocks.append((completed, positions))
+        if not blocks:  # a batch may touch no attributed node at all
+            return Tensor(np.zeros((n, self.hidden_dim),
+                                   dtype=get_default_dtype()))
+        return place_rows([block for block, _ in blocks],
+                          [ids for _, ids in blocks], n)
 
 
 class HandcraftedFeatures(FeatureBuilder):
@@ -233,13 +228,14 @@ class SingleOpFeatures(FeatureBuilder):
 class CandidateCache:
     """Per-epoch snapshot of the search's completion candidates.
 
-    ``projector`` is the projected-V⁺ block, ``ops`` the output of every
-    candidate completion op, all captured at one parameter state.  The
-    searcher owns the lifecycle: populate once per epoch, invalidate on
-    every ``w`` update and cluster refresh.
+    ``projector`` holds the projected-V⁺ blocks (one per attributed
+    type), ``ops`` the output of every candidate completion op, all
+    captured at one parameter state.  The searcher owns the lifecycle:
+    populate once per epoch, invalidate on every ``w`` update and cluster
+    refresh.
     """
 
-    projector: np.ndarray
+    projector: List[np.ndarray]
     ops: List[np.ndarray]
 
 
@@ -296,7 +292,7 @@ class WeightedCompletionFeatures(FeatureBuilder):
         """Snapshot projector + per-op outputs at the current parameters."""
         with no_grad():
             self._candidates = CandidateCache(
-                projector=self.projector().data,
+                projector=[block.data for block, _ in self.projector()],
                 ops=[op().data for op in self.ops])
         return self._candidates
 
@@ -325,13 +321,15 @@ class WeightedCompletionFeatures(FeatureBuilder):
             return Tensor(cache.ops[op_index])
         return op.forward_from_cache(cache.ops[op_index])
 
-    def _projected(self, view: Optional[GraphView] = None) -> Tensor:
+    def _projected(self, view: Optional[GraphView] = None) -> List[Block]:
         if view is not None:  # the candidate cache is a full-graph construct
             return self.projector(view)
         cache = self._candidates
         mode = self._candidate_mode
         if cache is not None and mode == "detached":
-            return Tensor(cache.projector)
+            types = self.dataset.attributed_types
+            return [(Tensor(value), self.dataset.graph.global_ids(node_type))
+                    for node_type, value in zip(types, cache.projector)]
         if cache is not None and mode == "rigged":
             return self.projector.forward_from_cache(cache.projector)
         return self.projector()

@@ -35,8 +35,14 @@ class TaskAdapter(Protocol):
     dataset: HeteroDataset
     score_is_neg_val_loss: bool
 
-    def train_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
-        """Differentiable loss on the training split."""
+    def train_loss(self, model: BaseHGNN, features: FeatureBuilder,
+                   h0: Optional[Tensor] = None) -> Tensor:
+        """Differentiable loss on the training split.
+
+        ``h0`` is ``features()`` when the caller already built it (the
+        lower step shares one builder pass with the clustering head);
+        ``None`` builds it here.
+        """
         ...
 
     def val_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
@@ -56,12 +62,14 @@ class NodeClassificationAdapter:
     def __init__(self, dataset: HeteroDataset) -> None:
         self.dataset = dataset
 
-    def _logits(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
-        return model(features())
+    def _logits(self, model: BaseHGNN, features: FeatureBuilder,
+                h0: Optional[Tensor] = None) -> Tensor:
+        return model(features() if h0 is None else h0)
 
-    def train_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
+    def train_loss(self, model: BaseHGNN, features: FeatureBuilder,
+                   h0: Optional[Tensor] = None) -> Tensor:
         split = self.dataset.split
-        logits = self._logits(model, features)
+        logits = self._logits(model, features, h0)
         loss = cross_entropy(logits[split.train], self.dataset.labels[split.train])
         if getattr(model, "has_auxiliary_loss", False):
             loss = loss + model.auxiliary_loss()
@@ -110,18 +118,19 @@ class LinkPredictionAdapter:
         self.dataset = task.train_graph_dataset
 
     def _scores(self, model: BaseHGNN, features: FeatureBuilder,
-                pairs: np.ndarray) -> Tensor:
-        embeddings = model.encode(features())
+                pairs: np.ndarray, h0: Optional[Tensor] = None) -> Tensor:
+        embeddings = model.encode(features() if h0 is None else h0)
         return _pair_scores(embeddings, pairs)
 
-    def train_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
+    def train_loss(self, model: BaseHGNN, features: FeatureBuilder,
+                   h0: Optional[Tensor] = None) -> Tensor:
         split = self.task.split
         negatives = self.task.sample_train_negatives()
         pairs = np.concatenate([split.train_pos, negatives], axis=1)
         labels = np.concatenate([np.ones(split.train_pos.shape[1]),
                                  np.zeros(negatives.shape[1])])
         loss = binary_cross_entropy_with_logits(
-            self._scores(model, features, pairs), labels)
+            self._scores(model, features, pairs, h0), labels)
         if getattr(model, "has_auxiliary_loss", False):
             loss = loss + model.auxiliary_loss()
         return loss

@@ -29,7 +29,7 @@ from ..completion import SearchSpace, WeightedCompletionFeatures
 from ..datasets import HeteroDataset
 from ..graph.sampler import NeighborSampler
 from ..models import build_model
-from ..tensor import Adam, Tensor, gather_rows, no_grad
+from ..tensor import Adam, Tensor, fused_kernels_enabled, gather_rows, no_grad
 from ..training.metrics import alpha_entropy
 from .adapters import TaskAdapter
 from .alpha import CompletionParameters, MixtureParameters
@@ -400,10 +400,15 @@ class AutoACSearcher:
         # rigged candidates: forward values are replayed from the epoch
         # snapshot while every op/projector rigs its live backward, so the
         # w update sees bit-identical gradients without recomputing the
-        # candidate matmuls (the adapter loss re-runs the builder too)
+        # candidate matmuls.  Under the fused kernels the loss and the
+        # cluster head share one h0, so their gradients add up in h0
+        # before one builder backward; the reference profile keeps its
+        # second builder pass (and its published float sums).
         with self._candidate_mode("rigged"):
             h0 = self.features()
-            loss = self.adapter.train_loss(self.model, self.features)
+            shared = h0 if fused_kernels_enabled() else None
+            loss = self.adapter.train_loss(self.model, self.features,
+                                           h0=shared)
         record: Dict[str, float] = {"train_loss": loss.item()}
         if self.cluster_head is not None:
             assignment = self.cluster_head(h0)

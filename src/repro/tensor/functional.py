@@ -9,13 +9,16 @@ Fused kernels
 -------------
 A second, faster implementation exists for the hottest composites:
 ``addmm`` (matmul + bias in one node), ``cross_entropy`` (log-softmax +
-NLL in one node), ``segment_softmax`` (one node instead of five) and
-``attention_aggregate`` (gather × weights × scatter in one node).  Each
-avoids materializing intermediate tensors and graph nodes.  They are
-gated behind :func:`set_fused_kernels` — default **off** — because their
+NLL in one node), ``segment_softmax`` (one node instead of five),
+``attention_aggregate`` (gather × weights × scatter in one node) and
+``l2_normalize`` (one node instead of five).  Each avoids materializing
+intermediate tensors and graph nodes.  They are gated behind
+:func:`set_fused_kernels` — default **off** — because most of their
 backward passes associate float operations differently from the
 composites: results are equal to numerical precision but not bit-for-bit,
 and the float64 reference profile guarantees bit-identical paper figures.
+(``l2_normalize`` is byte-equal to its chain only when its input feeds
+nothing else, so the reference profile keeps the chain.)
 The fast runtime profile (:mod:`repro.perf.profiles`) switches them on.
 """
 
@@ -40,6 +43,7 @@ from .tensor import (
     leaky_relu_factor,
     scatter_accumulate,
     scatter_add,
+    unbroadcast,
 )
 
 
@@ -268,9 +272,41 @@ def dropout(x: Tensor, p: float, training: bool = True) -> Tensor:
     return out
 
 
+def _l2_normalize_fused(x: Tensor, axis: int, eps: float) -> Tensor:
+    """:func:`l2_normalize`'s chain as one node, byte-equal to it.
+
+    The forward runs the chain's float operations in its order.  The
+    backward forms what the chain's nodes deliver to ``x``, summed in
+    the order they deliver it: the division's ``g / norm`` first, then
+    ``p`` once for each operand of ``x * x``, so ``((g / norm) + p) + p``.
+    (The chain's sum equals this one when ``x`` feeds nothing else; a
+    second consumer could add its share in between.)
+    """
+    data = x.data
+    squared = (data * data).sum(axis=axis, keepdims=True)
+    shifted = squared + np.asarray(eps, dtype=data.dtype)
+    norm = shifted ** 0.5
+    out = Tensor(data / norm, requires_grad=_needs_grad(x))
+    if out.requires_grad:
+        def backward(grad: np.ndarray) -> None:
+            g_norm = unbroadcast(-grad * data / (norm ** 2), norm.shape)
+            g_squared = g_norm * 0.5 * (shifted ** (0.5 - 1))
+            p = np.broadcast_to(g_squared, data.shape) * data
+            x.accumulate_grad((grad / norm + p) + p)
+        out._rig((x,), backward)
+    return out
+
+
+@profiled
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Normalize rows to unit L2 norm (composite, differentiable)."""
+    """Normalize rows to unit L2 norm (differentiable).
+
+    One node under the fused kernels (:func:`_l2_normalize_fused`, the
+    same bits); otherwise the composite of five primitives.
+    """
     x = ensure_tensor(x)
+    if _flags.fused_enabled() and x.data.dtype == get_default_dtype():
+        return _l2_normalize_fused(x, axis, eps)
     squared = (x * x).sum(axis=axis, keepdims=True)
     norm = (squared + eps) ** 0.5
     return x / norm
@@ -325,7 +361,8 @@ def segment_max_data(x: np.ndarray, segment_ids: np.ndarray,
     starts = indptr[:-1]
     filled = starts < indptr[1:]
     if filled.any():
-        out[filled] = np.maximum.reduceat(x[order], starts[filled], axis=0)
+        out[filled] = np.maximum.reduceat(np.take(x, order, axis=0),
+                                          starts[filled], axis=0)
     return out
 
 
@@ -336,7 +373,7 @@ def _segment_softmax_composite(scores: Tensor, segment_ids: np.ndarray,
     shift = np.where(np.isfinite(shift), shift, 0.0)
     from .tensor import exp as t_exp  # local import avoids a cycle at module load
 
-    shifted = scores - Tensor(shift[segment_ids])
+    shifted = scores - Tensor(np.take(shift, segment_ids, axis=0))
     exp_scores = t_exp(shifted)
     denom = scatter_add(exp_scores, segment_ids, num_segments)
     denom_per_edge = gather_rows(denom, segment_ids)
@@ -355,11 +392,11 @@ def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
     shift = segment_max_data(scores.data, segment_ids, num_segments,
                              sorted_by)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    exp_scores = np.exp(scores.data - shift[segment_ids])
+    exp_scores = np.exp(scores.data - np.take(shift, segment_ids, axis=0))
     denom = np.zeros((num_segments,) + exp_scores.shape[1:],
                      dtype=exp_scores.dtype)
     scatter_accumulate(denom, segment_ids, exp_scores)
-    out_data = exp_scores / (denom[segment_ids] + 1e-16)
+    out_data = exp_scores / (np.take(denom, segment_ids, axis=0) + 1e-16)
     out = Tensor(out_data, requires_grad=_needs_grad(scores))
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
@@ -367,7 +404,8 @@ def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
             seg_dot = np.zeros((num_segments,) + weighted.shape[1:],
                                dtype=weighted.dtype)
             scatter_accumulate(seg_dot, segment_ids, weighted)
-            scores.accumulate_grad(weighted - out_data * seg_dot[segment_ids])
+            scores.accumulate_grad(
+                weighted - out_data * np.take(seg_dot, segment_ids, axis=0))
         out._rig((scores,), backward)
     return out
 
@@ -407,6 +445,7 @@ class AttentionLayout(NamedTuple):
 
     pattern: SparseTensor
     order: np.ndarray         # edge index of each pattern entry
+    inverse: np.ndarray       # pattern entry of each edge (order's inverse)
     src: np.ndarray           # per edge, edge order
     etype: np.ndarray         # per edge, edge order
     etype_sorted: np.ndarray  # etype[order]
@@ -422,10 +461,12 @@ class AttentionLayout(NamedTuple):
         order = np.argsort(dst, kind="stable")
         pattern = SparseTensor.from_edges(np.asarray(dst)[order], src[order],
                                           shape=(num_nodes, num_nodes))
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.shape[0])
         counts = np.diff(pattern.indptr)
         filled = counts > 0
-        return cls(pattern, order, src, etype, etype[order], counts, filled,
-                   pattern.indptr[:-1][filled])
+        return cls(pattern, order, inverse, src, etype, etype[order], counts,
+                   filled, pattern.indptr[:-1][filled])
 
 
 @profiled
@@ -461,9 +502,9 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     type_score = ensure_tensor(type_score)
     pattern, counts = layout.pattern, layout.counts
     dst = pattern.row_of_nnz
-    logits = (score_src.data[pattern.indices]
+    logits = (np.take(score_src.data, pattern.indices, axis=0)
               + np.repeat(score_dst.data, counts, axis=0)) \
-        + type_score.data[layout.etype_sorted]
+        + np.take(type_score.data, layout.etype_sorted, axis=0)
     positive = logits > 0
     act = leaky_relu_data(logits, negative_slope)
 
@@ -492,7 +533,7 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
             raise ValueError("dropout probability must be < 1")
         mask = (random_values(alpha.shape, dtype=alpha.dtype)
                 >= dropout_p).astype(alpha.dtype) / (1.0 - dropout_p)
-        mask = mask[layout.order]
+        mask = np.take(mask, layout.order, axis=0)
         alpha = alpha * mask
 
     out = Tensor(alpha, requires_grad=_needs_grad(*parents))
@@ -517,8 +558,7 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
                 scatter_accumulate(g_dst, dst, g_logits)
                 score_dst.accumulate_grad(g_dst)
             # the source and type gradients sum in edge order
-            per_edge = np.empty_like(g_logits)
-            per_edge[layout.order] = g_logits
+            per_edge = np.take(g_logits, layout.inverse, axis=0)
             for scores, index in ((score_src, layout.src),
                                   (type_score, layout.etype)):
                 if scores.requires_grad:
@@ -575,16 +615,17 @@ def attention_aggregate(alpha: Tensor, x: Tensor, src: np.ndarray,
         raise ValueError(
             f"attention_aggregate needs alpha (E, H) and x (N, H, d); got "
             f"{alpha.shape} and {x.shape}")
-    messages = x.data[src] * alpha.data[:, :, None]
+    messages = np.take(x.data, src, axis=0) * alpha.data[:, :, None]
     out_data = np.zeros((num_nodes,) + x.data.shape[1:], dtype=x.data.dtype)
     scatter_accumulate(out_data, dst, messages)
     out = Tensor(out_data, requires_grad=_needs_grad(alpha, x))
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
-            grad_per_edge = grad[dst]                       # (E, H, d)
+            grad_per_edge = np.take(grad, dst, axis=0)     # (E, H, d)
             if alpha.requires_grad:
-                alpha.accumulate_grad(
-                    np.einsum("ehd,ehd->eh", grad_per_edge, x.data[src]))
+                x_per_edge = np.take(x.data, src, axis=0)
+                alpha.accumulate_grad(np.einsum("ehd,ehd->eh", grad_per_edge,
+                                                x_per_edge))
             if x.requires_grad:
                 gx = np.zeros_like(x.data)
                 scatter_accumulate(gx, src, grad_per_edge * alpha.data[:, :, None])

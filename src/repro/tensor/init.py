@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Glorot/Xavier, Kaiming/He, basics)."""
+"""Weight initialization schemes (Glorot/Xavier uniform, basics)."""
 
 from __future__ import annotations
 
@@ -36,11 +36,6 @@ def ones(shape) -> np.ndarray:
     return np.ones(shape, dtype=get_default_dtype())
 
 
-def constant(shape, value: float) -> np.ndarray:
-    """Array of ``shape`` filled with ``value``."""
-    return np.full(shape, value, dtype=get_default_dtype())
-
-
 def uniform(shape, low: float = -0.1, high: float = 0.1) -> np.ndarray:
     """Uniform samples in ``[low, high)`` from the engine RNG."""
     return _cast(get_rng().uniform(low, high, size=shape))
@@ -58,37 +53,10 @@ def xavier_uniform(shape, gain: float = 1.0) -> np.ndarray:
     return _cast(get_rng().uniform(-bound, bound, size=shape))
 
 
-def xavier_normal(shape, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal: ``N(0, gain²·2/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(get_rng().normal(0.0, std, size=shape))
-
-
-def kaiming_uniform(shape, negative_slope: float = 0.0) -> np.ndarray:
-    """He uniform for (leaky-)ReLU fan-in scaling."""
-    fan_in, _ = _fan_in_out(shape)
-    gain = math.sqrt(2.0 / (1.0 + negative_slope ** 2))
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return _cast(get_rng().uniform(-bound, bound, size=shape))
-
-
-def kaiming_normal(shape, negative_slope: float = 0.0) -> np.ndarray:
-    """He normal for (leaky-)ReLU fan-in scaling."""
-    fan_in, _ = _fan_in_out(shape)
-    gain = math.sqrt(2.0 / (1.0 + negative_slope ** 2))
-    std = gain / math.sqrt(fan_in)
-    return _cast(get_rng().normal(0.0, std, size=shape))
-
-
 __all__ = [
     "zeros",
     "ones",
-    "constant",
     "uniform",
     "normal",
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
 ]

@@ -77,10 +77,6 @@ class Module:
         """Switch the whole tree to inference mode."""
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(param.size for param in self.parameters())
-
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter array keyed by dotted name."""

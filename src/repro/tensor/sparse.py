@@ -87,14 +87,6 @@ class SparseTensor:
         return cls(csr.indptr, csr.indices, csr.data, csr.shape)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseTensor":
-        """Compress a dense matrix, dropping exact zeros."""
-        dense = np.asarray(dense, dtype=get_default_dtype())
-        if dense.ndim != 2:
-            raise ValueError("from_dense expects a 2-D array")
-        return cls.from_scipy(sp.csr_matrix(dense))
-
-    @classmethod
     def from_edges(cls, rows: np.ndarray, cols: np.ndarray,
                    shape: Tuple[int, int],
                    values: Optional[np.ndarray] = None) -> "SparseTensor":
@@ -403,7 +395,7 @@ def weighted_spmm(pattern: SparseTensor, values: Tensor, x: Tensor) -> Tensor:
     indptr, indices, perm = pattern.head_block(heads)
     data = values.data.reshape(-1)
     if perm is not None:
-        data = data[perm]
+        data = np.take(data, perm, axis=0)
     block = sp.csr_matrix((data, indices, indptr),
                           shape=(rows * heads, cols * heads))
     out_data = (block @ x.data.reshape(cols * heads, width)).reshape(

@@ -59,6 +59,17 @@ class TestNodeClassificationAdapter:
         without_aux = adapter.train_loss(model, features).item()
         assert with_aux > without_aux  # InfoNCE term is positive
 
+    def test_train_loss_takes_the_callers_h0(self, imdb_tiny):
+        set_seed(0)
+        adapter = NodeClassificationAdapter(imdb_tiny)
+        model = build_model("mlp", imdb_tiny)
+        features = HandcraftedFeatures(imdb_tiny, 64)
+        model.eval(); features.eval()
+        built = adapter.train_loss(model, features).item()
+        # with h0 given the builder is not called (None would fail)
+        given = adapter.train_loss(model, None, h0=features()).item()
+        assert given == built
+
 
 class TestLinkPredictionAdapter:
     def test_losses_and_score(self, lastfm_tiny):
@@ -83,6 +94,22 @@ class TestLinkPredictionAdapter:
         first = adapter.train_loss(model, features).item()
         second = adapter.train_loss(model, features).item()
         assert first != pytest.approx(second)
+
+    def test_train_loss_takes_the_callers_h0(self, lastfm_tiny):
+        losses = []
+        for shared in (False, True):
+            set_seed(0)
+            task = LinkPredictionTask(lastfm_tiny, mask_rate=0.1, seed=0)
+            adapter = LinkPredictionAdapter(task)
+            model = build_model("gcn", adapter.dataset)
+            features = HandcraftedFeatures(adapter.dataset, 64)
+            model.eval(); features.eval()
+            if shared:  # the builder is not called (None would fail)
+                loss = adapter.train_loss(model, None, h0=features())
+            else:
+                loss = adapter.train_loss(model, features)
+            losses.append(loss.item())
+        assert losses[0] == losses[1]
 
 
 class TestMAGNNInternals:

@@ -40,10 +40,6 @@ class TestModuleSystem:
         names = [name for name, _ in net.named_parameters()]
         assert names == ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
 
-    def test_num_parameters(self):
-        net = TinyNet()
-        assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
-
     def test_train_eval_propagates(self):
         net = TinyNet()
         net.eval()

@@ -354,6 +354,28 @@ class TestCandidateCache:
         assert control.history == kept.history
         assert control.best_val_score == kept.best_val_score
 
+    @pytest.mark.parametrize("profile, passes", [("fast", 1),
+                                                 ("reference", 2)])
+    def test_lower_step_builder_passes(self, profile, passes, monkeypatch):
+        """Under the fused kernels the loss and the cluster head share
+        one builder pass; ``reference`` keeps its second pass."""
+        from repro.completion import WeightedCompletionFeatures
+
+        calls = []
+        forward = WeightedCompletionFeatures.forward
+
+        def spy_forward(features, *args, **kwargs):
+            calls.append(args + tuple(kwargs.values()))  # no view
+            return forward(features, *args, **kwargs)
+
+        with runtime_profile(profile):
+            searcher = self._searcher()
+            assert searcher.cluster_head is not None
+            monkeypatch.setattr(WeightedCompletionFeatures, "forward",
+                                spy_forward)
+            searcher._lower_step()
+        assert calls == [()] * passes
+
     def test_cache_disabled_for_unrolled_mixture(self):
         searcher = self._searcher(discrete=False, unrolled=True)
         assert not searcher.use_candidate_cache

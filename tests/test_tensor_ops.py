@@ -235,11 +235,12 @@ class TestShaping:
         a, b = _t((2, 3)), _t((2, 3))
         gradcheck(lambda x, y: stack([x, y], axis=1), [a, b])
 
-    def test_squeeze_unsqueeze(self):
+    def test_squeeze(self):
         a = _t((3, 1, 4))
         assert a.squeeze(1).shape == (3, 4)
-        assert a.unsqueeze(0).shape == (1, 3, 1, 4)
-        gradcheck(lambda x: x.squeeze(1).unsqueeze(2), [a])
+        gradcheck(lambda x: x.squeeze(1), [a])
+        with pytest.raises(ValueError):
+            a.squeeze(0)
 
     def test_where(self):
         a, b = _t((4,)), _t((4,))
@@ -282,8 +283,6 @@ class TestSparseTensor:
 
     def test_round_trips(self):
         mat = self._random()
-        np.testing.assert_allclose(
-            SparseTensor.from_dense(mat.to_dense()).to_dense(), mat.to_dense())
         np.testing.assert_allclose(mat.to_scipy().toarray(), mat.to_dense())
         np.testing.assert_allclose(mat.T.to_dense(), mat.to_dense().T)
         assert mat.T.T is mat  # transpose is cached both ways
@@ -404,7 +403,3 @@ class TestAutogradMechanics:
         (b + c).sum().backward()
         np.testing.assert_allclose(a.grad, [6.0])
 
-    def test_detach_cuts_graph(self):
-        a = _t((3,))
-        out = (a.detach() * 2.0).sum()
-        assert not out.requires_grad

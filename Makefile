@@ -68,16 +68,18 @@ perfbench-search:
 
 # Bit-identity check for search changes: one SHA-1 per runtime profile and
 # seed (reference seed 1, fast seeds 1-5) over α, the assignment, cluster
-# labels, every history series and the retrained macro-F1 of run_autoac
-# (simple_hgn on imdb, 40+40 epochs, early stopping off).
-# SCALE=tiny|small|medium (default small).  BASE=<rev> also digests git
-# revision <rev>, prints both trees' lines side by side and fails if a
-# reference line differs.
+# labels, every history series and the retrain's history and F1 scores of
+# run_autoac (MODEL on imdb, 40+40 epochs, early stopping off).
+# SCALE=tiny|small|medium (default small), MODEL=<backbone> (default
+# simple_hgn).  BASE=<rev> also digests git revision <rev>'s sources,
+# prints both trees' lines side by side and fails if a reference line
+# differs.
 SCALE ?= small
+MODEL ?= simple_hgn
 BASE ?=
 search-digest:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/search_digest.py \
-		--scale $(SCALE) $(if $(BASE),--base $(BASE))
+		--scale $(SCALE) --model $(MODEL) $(if $(BASE),--base $(BASE))
 
 # Static HTML report from the tune-smoke journal (docs/OBSERVABILITY.md).
 report:

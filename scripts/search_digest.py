@@ -1,22 +1,27 @@
 """Print one SHA-1 per runtime profile and seed of a full AutoAC run.
 
 Each line digests what a search and its retrain produce: the final α,
-the op assignment, the cluster labels, every ``history`` series (floats
-as hex, so no digit is lost) and the retrained macro-F1.  Two trees that
-print the same lines ran the same search bit for bit.  The run is the
-perfbench ``search`` workload's: ``run_autoac`` with simple_hgn on imdb,
-40 search + 40 retrain epochs, early stopping off::
+the op assignment, the cluster labels, every search ``history`` series,
+the retrain's per-epoch train loss and validation macro-F1, and its
+final validation macro-F1, test macro-F1 and test micro-F1 (floats as
+hex, so no digit is lost).  Two trees that print the same lines ran the
+same search and retrain bit for bit.  The run is the perfbench
+``search`` workload's: ``run_autoac`` on imdb, 40 search + 40 retrain
+epochs, early stopping off, with simple_hgn unless ``--model`` names
+another backbone::
 
     PYTHONPATH=src python3 scripts/search_digest.py             # imdb small
     PYTHONPATH=src python3 scripts/search_digest.py --scale tiny
+    PYTHONPATH=src python3 scripts/search_digest.py --model gat --scale tiny
     PYTHONPATH=src python3 scripts/search_digest.py --base main
 
 ``reference`` runs seed 1 and ``fast`` seeds 1–5.  The ``alpha`` column
 is the SHA-1 of α's bytes alone.
 
-``--base REV`` runs the digest on an export of git revision ``REV``
-(``git archive`` into a temporary directory) and on this tree, prints
-each line of the two side by side, and exits 1 if any ``reference``
+``--base REV`` runs this script on the sources (``src/``) of an export
+of git revision ``REV`` (``git archive`` into a temporary directory) and
+on this tree's, so both sides digest the same fields, prints each line
+of the two side by side, and exits 1 if any ``reference``
 line differs: ``reference`` results must stay bit-identical, while a
 ``fast`` change may be stated instead.
 """
@@ -43,7 +48,11 @@ EPOCHS = 40
 SEEDS = {"reference": (1,), "fast": (1, 2, 3, 4, 5)}
 
 
-def digest(profile: str, seed: int, scale: str) -> tuple:
+def hex_series(values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def digest(profile: str, seed: int, scale: str, model: str) -> tuple:
     """``(run digest, α digest)`` of one seeded run under ``profile``."""
     from repro.core import AutoACConfig, run_autoac
     from repro.datasets import get_dataset
@@ -57,15 +66,19 @@ def digest(profile: str, seed: int, scale: str) -> tuple:
         dataset = get_dataset("imdb", scale=scale, seed=DATASET_SEED,
                               use_cache=False)
         set_seed(seed)
-        result = run_autoac(dataset, "simple_hgn", config, seed=seed)
+        result = run_autoac(dataset, model, config, seed=seed)
     search = result.search
     run = hashlib.sha1()
     for array in (search.alpha, search.assignment, search.cluster_labels):
         run.update(np.ascontiguousarray(array).tobytes())
     for name in sorted(search.history):
-        series = ",".join(float(v).hex() for v in search.history[name])
-        run.update(f"{name}:{series};".encode())
-    run.update(float(result.final.macro_f1).hex().encode())
+        run.update(f"{name}:{hex_series(search.history[name])};".encode())
+    final = result.final
+    for name in sorted(final.history):
+        run.update(f"retrain.{name}:{hex_series(final.history[name])};"
+                   .encode())
+    run.update(hex_series((final.val_macro_f1, final.macro_f1,
+                           final.micro_f1)).encode())
     alpha = hashlib.sha1(np.ascontiguousarray(search.alpha).tobytes())
     return run.hexdigest(), alpha.hexdigest()
 
@@ -73,19 +86,19 @@ def digest(profile: str, seed: int, scale: str) -> tuple:
 LINE = re.compile(r"^(\w+)\s+seed (\d+)\s+([0-9a-f]{40})\s+alpha ([0-9a-f]+)")
 
 
-def tree_digests(tree: Path, scale: str) -> dict:
-    """``{(profile, seed): (run digest, α prefix)}`` of ``tree``'s own
-    digest script, run in a fresh process on that tree's sources."""
+def tree_digests(tree: Path, scale: str, model: str) -> dict:
+    """``{(profile, seed): (run digest, α prefix)}`` of ``tree``'s
+    sources, digested by this script in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     result = subprocess.run(
-        [sys.executable, str(tree / "scripts" / "search_digest.py"),
-         "--scale", scale],
+        [sys.executable, str(Path(__file__).resolve()),
+         "--scale", scale, "--model", model],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     lines = (LINE.match(line) for line in result.stdout.splitlines())
     return {(m[1], int(m[2])): (m[3], m[4]) for m in lines if m}
 
 
-def compare_with_base(rev: str, scale: str) -> int:
+def compare_with_base(rev: str, scale: str, model: str) -> int:
     """Digest ``rev`` and this tree; 1 if a ``reference`` line differs."""
     here = Path(__file__).resolve().parent.parent
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
@@ -96,8 +109,8 @@ def compare_with_base(rev: str, scale: str) -> int:
             # and paths that leave the directory
             safe = hasattr(tarfile, "data_filter")
             tar.extractall(tmp, **({"filter": "data"} if safe else {}))
-        base = tree_digests(Path(tmp), scale)
-    current = tree_digests(here, scale)
+        base = tree_digests(Path(tmp), scale, model)
+    current = tree_digests(here, scale, model)
     print(f"{'profile':9s} {'seed':>4s}  {'base ' + rev:52s}  this tree")
     failed = False
     for key in sorted(set(base) | set(current),
@@ -119,15 +132,17 @@ def main() -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="small", choices=sorted(SCALES))
+    parser.add_argument("--model", default="simple_hgn",
+                        help="backbone to search and retrain")
     parser.add_argument("--base", metavar="REV",
                         help="compare with git revision REV")
     args = parser.parse_args()
     if args.base:
-        return compare_with_base(args.base, args.scale)
+        return compare_with_base(args.base, args.scale, args.model)
     for profile, seeds in SEEDS.items():
         for seed in seeds:
             start = time.perf_counter()
-            run, alpha = digest(profile, seed, args.scale)
+            run, alpha = digest(profile, seed, args.scale, args.model)
             print(f"{profile:9s} seed {seed}  {run}  alpha {alpha[:10]}  "
                   f"({time.perf_counter() - start:.1f} s)", flush=True)
     return 0

@@ -93,9 +93,6 @@ class Strategy:
         """Digest one finished trial (called in trial-id order)."""
         self.results[trial.trial_id] = result
 
-    def is_done(self) -> bool:
-        return False
-
     def fingerprint(self) -> Dict[str, Any]:
         """JSON-able identity for the journal header (resume validation)."""
         return {"strategy": self.name, "num_slots": self.num_slots,
@@ -132,9 +129,6 @@ class RandomSearch(Strategy):
         self._asked = True
         return [self._new_trial(self._random_ops(), self.budget)
                 for _ in range(self.num_trials)]
-
-    def is_done(self) -> bool:
-        return self._asked
 
     def params(self) -> Dict[str, Any]:
         return {"num_trials": self.num_trials, "budget": self.budget}
@@ -213,9 +207,6 @@ class RegularizedEvolution(Strategy):
                                 float(result.score)))
         if len(self.population) > self.population_size:
             self.population.pop(0)  # age out the oldest
-
-    def is_done(self) -> bool:
-        return self._next_id >= self.num_trials
 
     def params(self) -> Dict[str, Any]:
         return {"num_trials": self.num_trials,
@@ -302,9 +293,6 @@ class SuccessiveHalving(Strategy):
         if not self._pending:
             self._rung += 1
 
-    def is_done(self) -> bool:
-        return self._rung >= len(self.budgets) and not self._pending
-
     def params(self) -> Dict[str, Any]:
         return {"num_trials": self.num_trials, "eta": self.eta,
                 "min_budget": self.min_budget, "budgets": self.budgets}
@@ -333,9 +321,6 @@ class OneShotDARTS(Strategy):
         self._asked = True
         params = {"overrides": self.overrides} if self.overrides else {}
         return [self._new_trial(None, None, params=params, seed=self.seed)]
-
-    def is_done(self) -> bool:
-        return self._asked
 
     def params(self) -> Dict[str, Any]:
         return {"overrides": self.overrides}
@@ -371,9 +356,6 @@ class GridSearch(Strategy):
                                 params={"overrides": overrides},
                                 seed=self.seed)
                 for overrides in self.values]
-
-    def is_done(self) -> bool:
-        return self._asked
 
     def params(self) -> Dict[str, Any]:
         return {"values": self.values}

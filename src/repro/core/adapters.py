@@ -15,7 +15,7 @@ from ..datasets import HeteroDataset
 from ..models import BaseHGNN
 from ..tensor import Tensor, binary_cross_entropy_with_logits, cross_entropy, no_grad
 from ..training.link_prediction import LinkPredictionTask, _pair_scores
-from ..training.metrics import macro_f1, roc_auc
+from ..training.metrics import roc_auc
 
 
 class TaskAdapter(Protocol):
@@ -62,15 +62,11 @@ class NodeClassificationAdapter:
     def __init__(self, dataset: HeteroDataset) -> None:
         self.dataset = dataset
 
-    def _logits(self, model: BaseHGNN, features: FeatureBuilder,
-                h0: Optional[Tensor] = None) -> Tensor:
-        return model(features() if h0 is None else h0)
-
     def train_loss(self, model: BaseHGNN, features: FeatureBuilder,
                    h0: Optional[Tensor] = None) -> Tensor:
-        split = self.dataset.split
-        logits = self._logits(model, features, h0)
-        loss = cross_entropy(logits[split.train], self.dataset.labels[split.train])
+        train = self.dataset.split.train
+        logits = model(features() if h0 is None else h0, rows=train)
+        loss = cross_entropy(logits, self.dataset.labels[train])
         if getattr(model, "has_auxiliary_loss", False):
             loss = loss + model.auxiliary_loss()
         return loss
@@ -93,9 +89,9 @@ class NodeClassificationAdapter:
         return loss
 
     def val_loss(self, model: BaseHGNN, features: FeatureBuilder) -> Tensor:
-        split = self.dataset.split
-        logits = self._logits(model, features)
-        return cross_entropy(logits[split.val], self.dataset.labels[split.val])
+        val = self.dataset.split.val
+        return cross_entropy(model(features(), rows=val),
+                             self.dataset.labels[val])
 
     def val_score(self, model: BaseHGNN, features: FeatureBuilder) -> float:
         """Negative validation loss (smoother than F1 on small val splits)."""

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, gather_rows, softmax
+from ..tensor import Tensor, softmax
 from .proximal import prox_c1, proximal_step
 
 
@@ -50,15 +50,6 @@ class CompletionParameters:
     def discrete(self) -> np.ndarray:
         """One-hot rows at the current argmax (``prox_C1``)."""
         return prox_c1(self.values)
-
-    def discrete_tensor(self, requires_grad: bool = False) -> Tensor:
-        """:meth:`discrete` wrapped as a tensor (grad flows to bar-alpha)."""
-        return Tensor(self.discrete(), requires_grad=requires_grad)
-
-    def node_weights(self, bar_alpha: Tensor,
-                     cluster_labels: np.ndarray) -> Tensor:
-        """Per-node op weights: rows of ``bar_alpha`` selected per cluster."""
-        return gather_rows(bar_alpha, cluster_labels)
 
     def update(self, grad: np.ndarray, lr: float,
                weight_decay: float = 0.0) -> None:
@@ -98,10 +89,6 @@ class MixtureParameters:
     def weights(self) -> Tensor:
         """Softmax mixture weights over ops, one row per cluster."""
         return softmax(self.logits, axis=-1)
-
-    def node_weights(self, cluster_labels: np.ndarray) -> Tensor:
-        """Per-node mixture weights via the cluster assignment."""
-        return gather_rows(self.weights(), cluster_labels)
 
     def chosen_ops(self) -> np.ndarray:
         """Argmax op index per cluster (discretization of the mixture)."""

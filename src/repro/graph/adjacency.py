@@ -66,13 +66,6 @@ class LRUCache:
         self.misses += 1
         return default
 
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert (or refresh) ``key`` directly, evicting the oldest entry."""
-        self._store[key] = value
-        self._store.move_to_end(key)
-        if len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 

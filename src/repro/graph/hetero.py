@@ -134,9 +134,6 @@ class HeteroGraph:
     def to_global(self, node_type: str, local_ids: np.ndarray) -> np.ndarray:
         return np.asarray(local_ids, dtype=np.int64) + self._info[node_type].offset
 
-    def to_local(self, node_type: str, global_ids: np.ndarray) -> np.ndarray:
-        return np.asarray(global_ids, dtype=np.int64) - self._info[node_type].offset
-
     @property
     def node_type_index(self) -> np.ndarray:
         """Per-global-node integer type id, in ``node_types`` order."""

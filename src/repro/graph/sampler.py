@@ -30,7 +30,7 @@ view over a node set it picked itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class GraphView:
         """Map parent-global ids to view-local positions (KeyError if absent)."""
         return np.array([self._local[int(g)] for g in np.atleast_1d(global_ids)],
                         dtype=np.int64)
-
-    def contains(self, global_id: int) -> bool:
-        return int(global_id) in self._local
 
     def type_members(self, node_type: str) -> Tuple[np.ndarray, np.ndarray]:
         """``(view_local, parent_local)`` ids of the view's ``node_type`` nodes."""
@@ -465,13 +462,6 @@ class NeighborSampler:
                 edges[relation] = np.stack([local_of[pairs[0]],
                                             local_of[pairs[1]]])
         return GraphView(graph, node_ids, seeds, edges)
-
-    def sample_type(self, node_type: str,
-                    local_ids: Sequence[int]) -> GraphView:
-        """Convenience: sample around per-type local seed ids."""
-        seeds = self.graph.to_global(
-            node_type, np.asarray(local_ids, dtype=np.int64))
-        return self.sample(seeds)
 
 
 __all__ = ["GraphView", "NeighborSampler", "FanoutSpec"]

@@ -5,7 +5,8 @@ produced by a feature builder) and exposes:
 
 * ``encode(h0)`` — node representations; ``(N, d)`` for full-graph models,
   ``(N_target, d)`` for metapath models that only embed the target type;
-* ``forward(h0)`` — classification logits over the target type.
+* ``forward(h0, rows=None)`` — classification logits over the target
+  type, or over its ``rows`` only (what a loss or an evaluation reads).
 
 Link prediction uses ``encode`` directly (only full-graph models qualify).
 
@@ -78,9 +79,13 @@ class BaseHGNN(Module):
             return encoded[self.dataset.graph.global_ids(self.dataset.target_type)]
         return encoded
 
-    def forward(self, h0: Tensor,
-                view: Optional[GraphView] = None) -> Tensor:
-        return self.classifier(self.target_embeddings(h0, view=view))
+    def forward(self, h0: Tensor, view: Optional[GraphView] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Target-type logits; only those of ``rows`` (target-type local
+        indices, as the split arrays are) when given.  Models may compute
+        just the work those rows read, with the same bits."""
+        logits = self.classifier(self.target_embeddings(h0, view=view))
+        return logits if rows is None else logits[rows]
 
 
 def edge_arrays_with_self_loops(

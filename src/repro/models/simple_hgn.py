@@ -21,6 +21,15 @@ order.  There α is in pattern order: it goes straight into
 unfused (``reference``) path keeps the composite in edge order, and its
 α is in edge order.
 
+Row-restricted passes: ``forward(h0, rows=r)`` under the fused kernels
+runs the attention and aggregation of each layer only into the rows the
+next one reads (:meth:`SimpleHGN.restricted_layouts`): the last layer
+into the target rows ``r``, each earlier layer into the sources and
+destinations of the entries kept above it.  Dense per-row work (the
+projections, scores, ELU, normalization, classifier and feature dropout)
+keeps its full shape, so the rows read come out bit for bit as in the
+full pass, and so do all gradients.
+
 Edge-type scores: ``<edge_table[etype_e], attn_edge>`` takes one value
 per edge type.  Under the fused kernels it is computed once per type
 (:meth:`SimpleHGNLayer.type_scores`).  That sums the ``edge_table``
@@ -108,16 +117,20 @@ class SimpleHGNLayer(Module):
         return head_dot(edge_embed, self.attn_edge)
 
     def forward(self, h: Tensor, alpha_prev: Optional[Tensor] = None,
-                topo: Optional[tuple] = None):
+                topo: Optional[tuple] = None,
+                layout: Optional[AttentionLayout] = None):
         """One layer over the constructor topology or, for the sampled
         path, an explicit ``(src, dst, etype, num_nodes, layout)`` tuple
         in view-local ids.  Edge-type ids are shared with the full graph,
-        so the edge-type table transfers.  Returns ``(out, alpha)``, with
+        so the edge-type table transfers.  Under the fused kernels
+        ``layout`` may restrict the constructor topology's layout
+        (:meth:`AttentionLayout.restrict`).  Returns ``(out, alpha)``, with
         ``alpha`` in pattern order under the fused kernels and in edge
         order otherwise (``alpha_prev`` must be in the same order)."""
         if topo is None:
             src, dst, etype, n = self.src, self.dst, self.etype, self.num_nodes
-            layout = self._layout
+            if layout is None:
+                layout = self._layout
         else:
             src, dst, etype, n, layout = topo
         heads = self.num_heads
@@ -176,6 +189,46 @@ class SimpleHGN(BaseHGNN):
             for i in range(num_layers)
         ])
         self.dropout = Dropout(dropout)
+        self._restricted: dict = {}
+
+    def restricted_layouts(self, rows: np.ndarray) -> list:
+        """Per layer, ``(layout, link)`` of a pass read only at ``rows``.
+
+        ``rows`` are target-type local indices.  The last layer's layout
+        keeps the pattern rows of those targets; each earlier layer's keeps
+        the rows the layer above reads (its kept entries' sources and its
+        own rows).  Rows nest, so each layer's entries are a subset of the
+        previous layer's, and ``link`` takes the previous layer's α to
+        this layer's entries (``None`` for the first layer).  Memoized per
+        row set.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        key = rows.tobytes()
+        cached = self._restricted.get(key)
+        if cached is None:
+            full = self.layers[0]._layout
+            needed = np.unique(self.dataset.graph.to_global(
+                self.dataset.target_type, rows))
+            layouts = []
+            for _ in range(self.num_layers):
+                layout = full.restrict(needed)
+                layouts.append(layout)
+                needed = np.union1d(layout.pattern.indices, needed)
+            layouts.reverse()
+            links = [None] + [np.searchsorted(below.entries, above.entries)
+                              for below, above in zip(layouts, layouts[1:])]
+            cached = list(zip(layouts, links))
+            if len(self._restricted) >= 8:
+                self._restricted.pop(next(iter(self._restricted)))
+            self._restricted[key] = cached
+        return cached
+
+    def forward(self, h0: Tensor, view: Optional[GraphView] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        if rows is None or view is not None or not fused_kernels_enabled():
+            return super().forward(h0, view=view, rows=rows)
+        encoded = self._encode(h0, plan=self.restricted_layouts(rows))
+        return self.classifier(self.target_rows(encoded))[rows]
 
     def _view_topology(self, view: GraphView) -> tuple:
         """The layer-shared topology tuple of a view, memoized on it.
@@ -193,10 +246,21 @@ class SimpleHGN(BaseHGNN):
 
     def encode(self, h0: Tensor, view: Optional[GraphView] = None) -> Tensor:
         topo = None if view is None else self._view_topology(view)
+        return self._encode(h0, topo=topo)
+
+    def _encode(self, h0: Tensor, topo: Optional[tuple] = None,
+                plan: Optional[list] = None) -> Tensor:
+        """The layer stack over the model's topology, a view's ``topo`` or
+        the per-layer ``(layout, link)`` of :meth:`restricted_layouts`."""
         h = h0
         alpha = None
         for index, layer in enumerate(self.layers):
-            h, alpha = layer(self.dropout(h), alpha, topo)
+            layout = None
+            if plan is not None:
+                layout, link = plan[index]
+                if link is not None:
+                    alpha = gather_rows(alpha, link)
+            h, alpha = layer(self.dropout(h), alpha, topo, layout)
             if index < self.num_layers - 1:
                 h = elu(h)
         if self.normalize_output:

@@ -24,7 +24,7 @@ import json
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 # import autotune *submodules* only: this module is (indirectly) imported
 # while ``repro.autotune.__init__`` is still executing, so the package
@@ -154,23 +154,6 @@ class RunDiff:
     def same_setup(self) -> bool:
         return not self.config
 
-    def curve_overlay(self, metric: str) -> Dict[str, List[float]]:
-        """The two winners' journaled curves for one metric, keyed by run.
-
-        The programmatic form of a report's overlay plot: compare how
-        the best trial of each run *got* to its score, not just where
-        it ended.  Runs whose journal predates timelines contribute
-        nothing (empty dict values are omitted).
-        """
-        overlay: Dict[str, List[float]] = {}
-        for record in (self.a, self.b):
-            best = record.best
-            if best is None:
-                continue
-            timeline = record.timeline(best.trial_id)
-            if timeline is not None and metric in timeline.curves:
-                overlay[record.name] = list(timeline.curves[metric])
-        return overlay
 
 
 # ----------------------------------------------------------------------

@@ -182,11 +182,6 @@ class InferenceEngine:
         """Raw classifier logits, one row per queried node."""
         return self._rows("predict", node_ids)[1]
 
-    def predict_labels(self, node_ids) -> List[str]:
-        """Human-readable label (bundle label map) per queried node."""
-        return [self.bundle.label_names[index]
-                for index in self.predict(node_ids)]
-
     def embed(self, node_ids) -> np.ndarray:
         """Node embeddings by *global* id (base id space; full-graph models)."""
         return self._rows("embed", node_ids)[1]

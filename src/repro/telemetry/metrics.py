@@ -190,9 +190,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         key = self._key(labels)
         with self._lock:
@@ -257,10 +254,6 @@ class Histogram(_Instrument):
     def sum_total(self) -> float:
         with self._lock:
             return float(sum(d.sum for d in self._values.values()))
-
-    def count_total(self) -> int:
-        with self._lock:
-            return int(sum(d.count for d in self._values.values()))
 
     def percentile(self, q: float, **labels) -> float:
         """Quantile of one label combination's observations."""

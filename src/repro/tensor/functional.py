@@ -452,6 +452,9 @@ class AttentionLayout(NamedTuple):
     counts: np.ndarray        # entries per row
     filled: np.ndarray        # rows with at least one entry
     starts: np.ndarray        # first entry of each filled row
+    num_edges: int            # edges of the whole topology
+    # restricted layouts only: each entry's position in the full pattern
+    entries: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
@@ -466,7 +469,35 @@ class AttentionLayout(NamedTuple):
         counts = np.diff(pattern.indptr)
         filled = counts > 0
         return cls(pattern, order, inverse, src, etype, etype[order], counts,
-                   filled, pattern.indptr[:-1][filled])
+                   filled, pattern.indptr[:-1][filled], order.shape[0])
+
+    def restrict(self, rows: np.ndarray) -> "AttentionLayout":
+        """This (full) layout with every pattern row outside ``rows`` empty.
+
+        A row keeps all of its entries in their order, so attention and
+        aggregation into a kept row run the same float operations as on
+        the full layout.  ``order``, ``src`` and ``etype`` keep the kept
+        edges' ids in the full topology (edge order), ``inverse`` maps
+        them to the restricted entries, and ``entries`` records each
+        restricted entry's position in the full pattern.
+        """
+        n = self.pattern.shape[0]
+        keep = np.zeros(n, dtype=bool)
+        keep[np.asarray(rows, dtype=np.int64)] = True
+        counts = np.where(keep, self.counts, 0)
+        entries = np.flatnonzero(np.repeat(keep, self.counts))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pattern = SparseTensor(indptr, self.pattern.indices[entries],
+                               self.pattern.values[entries], (n, n))
+        order = self.order[entries]
+        inverse = np.argsort(order, kind="stable")
+        edges = order[inverse]
+        filled = counts > 0
+        return type(self)(pattern, order, inverse, self.src[edges],
+                          self.etype[edges], self.etype_sorted[entries],
+                          counts, filled, indptr[:-1][filled],
+                          self.num_edges, entries)
 
 
 @profiled
@@ -496,6 +527,11 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     gathers as ``np.repeat`` and every scatter visiting a segment's
     entries in edge order.  The dropout mask is drawn over ``(E, H)`` in
     edge order, so every edge keeps its random number.
+
+    On a :meth:`AttentionLayout.restrict`-ed layout the result holds the
+    kept entries only, each with the bits (and gradients) it has on the
+    full layout; the mask is still drawn over every edge of the topology,
+    so the generator advances as on the full layout.
     """
     score_src = ensure_tensor(score_src)
     score_dst = ensure_tensor(score_dst)
@@ -531,9 +567,10 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     if drop:
         if dropout_p >= 1.0:
             raise ValueError("dropout probability must be < 1")
-        mask = (random_values(alpha.shape, dtype=alpha.dtype)
+        draws = random_values((layout.num_edges,) + alpha.shape[1:],
+                              dtype=alpha.dtype)
+        mask = (np.take(draws, layout.order, axis=0)
                 >= dropout_p).astype(alpha.dtype) / (1.0 - dropout_p)
-        mask = np.take(mask, layout.order, axis=0)
         alpha = alpha * mask
 
     out = Tensor(alpha, requires_grad=_needs_grad(*parents))

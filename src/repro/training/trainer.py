@@ -95,24 +95,23 @@ class NodeClassificationTrainer:
 
     # ------------------------------------------------------------------
     def _loss(self, indices: np.ndarray) -> Tensor:
-        h0 = self.features()
-        logits = self.model(h0)
-        loss = cross_entropy(logits[indices], self.dataset.labels[indices])
+        logits = self.model(self.features(), rows=indices)
+        loss = cross_entropy(logits, self.dataset.labels[indices])
         if getattr(self.model, "has_auxiliary_loss", False):
             loss = loss + self.model.auxiliary_loss()
         return loss
 
-    def _predict(self) -> np.ndarray:
+    def _predict(self, indices: np.ndarray) -> np.ndarray:
         self.model.eval()
         self.features.eval()
         with no_grad():
-            logits = self.model(self.features())
+            logits = self.model(self.features(), rows=indices)
         self.model.train()
         self.features.train()
         return np.argmax(logits.data, axis=-1)
 
     def evaluate(self, indices: np.ndarray) -> Dict[str, float]:
-        predictions = self._predict()[indices]
+        predictions = self._predict(indices)
         truth = self.dataset.labels[indices]
         k = self.dataset.num_classes
         return {"macro_f1": macro_f1(truth, predictions, k),

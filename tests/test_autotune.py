@@ -90,7 +90,7 @@ class TestRandomSearch:
         assert all(t.budget == 8 for t in batch)
         assert all(0 <= o < 4 for t in batch for o in t.ops)
         assert [t.trial_id for t in batch] == list(range(5))
-        assert s.ask() == [] and s.is_done()
+        assert s.ask() == []
 
     def test_same_seed_same_trials(self):
         ops = lambda seed: [t.ops for t in RandomSearch(
@@ -194,7 +194,7 @@ class TestSuccessiveHalving:
         rung2 = s.ask()
         assert [t.budget for t in rung2] == [8]
         s.tell(rung2[0], completed(rung2[0], 0.6))
-        assert s.ask() == [] and s.is_done()
+        assert s.ask() == []
 
     def test_all_failed_rung_ends_search(self):
         s = SuccessiveHalving(num_slots=4, num_ops=4, max_budget=8, seed=0,
@@ -577,7 +577,7 @@ class TestStrategyOpMatrix:
                                   max_budget=8, seed=0,
                                   **STRATEGY_MATRIX_KWARGS[name])
         asked = self.drive(strategy)
-        assert asked and strategy.is_done()
+        assert asked and strategy.ask() == []
         discrete = [t for t in asked if t.ops is not None]
         if discrete:
             seen = {op for t in discrete for op in t.ops}

@@ -94,14 +94,6 @@ class TestCompletionParameters:
         with pytest.raises(ValueError):
             params.update(np.zeros((1, 3)), lr=0.1)
 
-    def test_node_weights_gather(self):
-        params = CompletionParameters(2, 3)
-        bar = params.discrete_tensor()
-        labels = np.array([0, 1, 1, 0])
-        weights = params.node_weights(bar, labels)
-        np.testing.assert_array_equal(weights.data[0], bar.data[0])
-        np.testing.assert_array_equal(weights.data[1], bar.data[1])
-
     def test_mixture_weights_simplex(self):
         mixture = MixtureParameters(4, 5)
         weights = mixture.weights().data

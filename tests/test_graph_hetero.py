@@ -25,8 +25,8 @@ class TestConstruction:
         local = np.array([0, 2])
         global_ids = toy_graph.to_global("actor", local)
         np.testing.assert_array_equal(global_ids, [4, 6])
-        np.testing.assert_array_equal(toy_graph.to_local("actor", global_ids),
-                                      local)
+        np.testing.assert_array_equal(
+            global_ids - toy_graph.offset_of("actor"), local)
 
     def test_zero_count_type_rejected(self):
         with pytest.raises(ValueError):

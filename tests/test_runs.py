@@ -364,9 +364,6 @@ class TestRunRegistry:
         assert [row["trial_id"] for row in diff.shared_trials] == [0, 1, 2]
         for row in diff.shared_trials:
             assert row["delta"] == pytest.approx(row["b"] - row["a"])
-        overlay = diff.curve_overlay("retrain/val_macro_f1")
-        assert set(overlay) == {"a", "b"}
-        assert len(overlay["a"]) == 3
 
     def test_identical_runs_diff_empty(self, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -58,7 +58,7 @@ class TestPrediction:
     def test_labels_and_logits(self, engine):
         logits = engine.predict_logits([0, 1])
         assert logits.shape == (2, engine.bundle.num_classes)
-        labels = engine.predict_labels([0, 1])
+        labels = [entry["label"] for entry in engine.predict_batch([0, 1])]
         assert labels == [engine.bundle.label_names[int(np.argmax(row))]
                           for row in logits]
 
@@ -104,7 +104,7 @@ class TestAnswerTable:
         predictions = engine.predict([0, 1, 2])
         assert [entry["prediction"] for entry in results] == predictions.tolist()
         assert [entry["label"] for entry in results] == \
-            engine.predict_labels([0, 1, 2])
+            [engine.bundle.label_names[index] for index in predictions]
 
     def test_every_answer_counts_as_a_hit(self, engine):
         engine.predict(np.arange(8))

@@ -25,24 +25,23 @@ from repro.training import NodeClassificationTrainer, TrainConfig, set_seed
 
 
 class TestLRUCacheSurgery:
-    def test_lookup_and_put(self):
+    def test_lookup_and_get(self):
         cache = LRUCache(maxsize=2)
         assert cache.lookup("a") is None
-        cache.put("a", 1)
+        assert cache.get("a", lambda: 1) == 1
         assert cache.lookup("a") == 1
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits == 1 and cache.misses == 2
 
-    def test_put_evicts_oldest(self):
+    def test_get_evicts_oldest(self):
         cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
+        for key, value in (("a", 1), ("b", 2), ("c", 3)):
+            cache.get(key, lambda: value)
         assert "a" not in cache and "b" in cache and "c" in cache
 
     def test_invalidate_is_targeted(self):
         cache = LRUCache(maxsize=8)
         for key in [("block", "a"), ("block", "b"), ("global",)]:
-            cache.put(key, key)
+            cache.get(key, lambda: key)
         dropped = cache.invalidate(lambda key: key[0] == "global"
                                    or "a" in key)
         assert dropped == 2

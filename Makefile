@@ -69,7 +69,9 @@ perfbench-search:
 # Bit-identity check for search changes: one SHA-1 per runtime profile and
 # seed (reference seed 1, fast seeds 1-5) over α, the assignment, cluster
 # labels, every history series and the retrain's history and F1 scores of
-# run_autoac (MODEL on imdb, 40+40 epochs, early stopping off).
+# run_autoac (MODEL on imdb, 40+40 epochs, early stopping off), plus an
+# outcome digest (assignment, cluster labels, final F1s); BLAS runs on one
+# thread.
 # SCALE=tiny|small|medium (default small), MODEL=<backbone> (default
 # simple_hgn).  BASE=<rev> also digests git revision <rev>'s sources,
 # prints both trees' lines side by side and fails if a reference line

@@ -57,15 +57,6 @@ class LRUCache:
             self._store.popitem(last=False)
         return value
 
-    def lookup(self, key: Hashable, default: object = None) -> object:
-        """Return the cached value for ``key`` without building on a miss."""
-        if key in self._store:
-            self._store.move_to_end(key)
-            self.hits += 1
-            return self._store[key]
-        self.misses += 1
-        return default
-
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 

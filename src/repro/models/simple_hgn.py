@@ -22,13 +22,18 @@ unfused (``reference``) path keeps the composite in edge order, and its
 α is in edge order.
 
 Row-restricted passes: ``forward(h0, rows=r)`` under the fused kernels
-runs the attention and aggregation of each layer only into the rows the
-next one reads (:meth:`SimpleHGN.restricted_layouts`): the last layer
-into the target rows ``r``, each earlier layer into the sources and
-destinations of the entries kept above it.  Dense per-row work (the
-projections, scores, ELU, normalization, classifier and feature dropout)
-keeps its full shape, so the rows read come out bit for bit as in the
-full pass, and so do all gradients.
+runs each layer only on the rows the next one reads
+(:meth:`SimpleHGN.restricted_layouts`): the last layer computes the
+target rows ``r``, each earlier layer the rows the layer above reads
+(the sources of its kept entries and its own rows).  Hidden states hold
+those rows only, over compact :meth:`AttentionLayout.restrict`-ed
+layouts, so the projections, scores, attention, aggregation, residual,
+ELU, normalization and classifier all run on the receptive field.  Only
+``h0`` (the completion's output) is full; feature and attention dropout
+draw over the full shapes and take the kept rows, so the generator
+advances as in the full pass.  The logits equal ``forward(h0)[r]`` to
+float precision, not bit for bit: BLAS products and gradient sums over
+fewer rows may round differently.
 
 Edge-type scores: ``<edge_table[etype_e], attn_edge>`` takes one value
 per edge type.  Under the fused kernels it is computed once per type
@@ -53,6 +58,7 @@ from ..tensor import (
     Parameter,
     Tensor,
     csr_attention,
+    dropout,
     elu,
     fused_kernels_enabled,
     gather_rows,
@@ -124,7 +130,8 @@ class SimpleHGNLayer(Module):
         in view-local ids.  Edge-type ids are shared with the full graph,
         so the edge-type table transfers.  Under the fused kernels
         ``layout`` may restrict the constructor topology's layout
-        (:meth:`AttentionLayout.restrict`).  Returns ``(out, alpha)``, with
+        (:meth:`AttentionLayout.restrict`): ``h`` then holds the layout's
+        columns and the output its rows.  Returns ``(out, alpha)``, with
         ``alpha`` in pattern order under the fused kernels and in edge
         order otherwise (``alpha_prev`` must be in the same order)."""
         if topo is None:
@@ -134,9 +141,13 @@ class SimpleHGNLayer(Module):
         else:
             src, dst, etype, n, layout = topo
         heads = self.num_heads
-        projected = self.proj(h).reshape(n, heads, self.head_dim)
+        projected = self.proj(h).reshape(h.shape[0], heads, self.head_dim)
         score_src = head_dot(projected, self.attn_src)
         score_dst = head_dot(projected, self.attn_dst)
+        if layout.row_columns is not None:
+            # compact: the output rows are a subset of the input rows
+            score_dst = gather_rows(score_dst, layout.row_columns)
+            h = gather_rows(h, layout.row_columns)
         if fused_kernels_enabled():
             dropout = self.attn_dropout
             alpha = csr_attention(score_src, score_dst, self.type_scores(),
@@ -159,7 +170,7 @@ class SimpleHGNLayer(Module):
             alpha = self.attn_dropout(alpha)
             alpha_sorted = gather_rows(alpha, layout.order)  # (E, H)
         out = weighted_spmm(layout.pattern, alpha_sorted, projected).reshape(
-            n, heads * self.head_dim)
+            layout.pattern.shape[0], heads * self.head_dim)
         if self.residual_proj is not None:
             out = out + self.residual_proj(h)
         return out, alpha
@@ -191,33 +202,36 @@ class SimpleHGN(BaseHGNN):
         self.dropout = Dropout(dropout)
         self._restricted: dict = {}
 
-    def restricted_layouts(self, rows: np.ndarray) -> list:
-        """Per layer, ``(layout, link)`` of a pass read only at ``rows``.
+    def restricted_layouts(self, rows: np.ndarray) -> tuple:
+        """``(steps, take)`` of a pass read only at ``rows``.
 
-        ``rows`` are target-type local indices.  The last layer's layout
-        keeps the pattern rows of those targets; each earlier layer's keeps
-        the rows the layer above reads (its kept entries' sources and its
-        own rows).  Rows nest, so each layer's entries are a subset of the
-        previous layer's, and ``link`` takes the previous layer's α to
-        this layer's entries (``None`` for the first layer).  Memoized per
-        row set.
+        ``rows`` are target-type local indices.  ``steps`` holds, per
+        layer, a compact :meth:`AttentionLayout.restrict`-ed layout and a
+        ``link``.  The last layer's layout computes the target rows; each
+        earlier layer's computes the columns the layer above reads.  Rows
+        nest, so each layer's entries are a subset of the previous
+        layer's, and ``link`` takes the previous layer's α to this
+        layer's entries (``None`` for the first layer).  ``take`` picks
+        ``rows`` from the last layer's rows.  Memoized per row set.
         """
         rows = np.asarray(rows, dtype=np.int64)
         key = rows.tobytes()
         cached = self._restricted.get(key)
         if cached is None:
             full = self.layers[0]._layout
-            needed = np.unique(self.dataset.graph.to_global(
-                self.dataset.target_type, rows))
+            targets = self.dataset.graph.to_global(self.dataset.target_type,
+                                                   rows)
+            needed = targets
             layouts = []
             for _ in range(self.num_layers):
                 layout = full.restrict(needed)
                 layouts.append(layout)
-                needed = np.union1d(layout.pattern.indices, needed)
+                needed = layout.columns
             layouts.reverse()
             links = [None] + [np.searchsorted(below.entries, above.entries)
                               for below, above in zip(layouts, layouts[1:])]
-            cached = list(zip(layouts, links))
+            take = np.unique(targets, return_inverse=True)[1].reshape(-1)
+            cached = (list(zip(layouts, links)), take)
             if len(self._restricted) >= 8:
                 self._restricted.pop(next(iter(self._restricted)))
             self._restricted[key] = cached
@@ -227,8 +241,9 @@ class SimpleHGN(BaseHGNN):
                 rows: Optional[np.ndarray] = None) -> Tensor:
         if rows is None or view is not None or not fused_kernels_enabled():
             return super().forward(h0, view=view, rows=rows)
-        encoded = self._encode(h0, plan=self.restricted_layouts(rows))
-        return self.classifier(self.target_rows(encoded))[rows]
+        steps, take = self.restricted_layouts(rows)
+        return gather_rows(self.classifier(self._encode(h0, steps=steps)),
+                           take)
 
     def _view_topology(self, view: GraphView) -> tuple:
         """The layer-shared topology tuple of a view, memoized on it.
@@ -249,18 +264,23 @@ class SimpleHGN(BaseHGNN):
         return self._encode(h0, topo=topo)
 
     def _encode(self, h0: Tensor, topo: Optional[tuple] = None,
-                plan: Optional[list] = None) -> Tensor:
+                steps: Optional[list] = None) -> Tensor:
         """The layer stack over the model's topology, a view's ``topo`` or
-        the per-layer ``(layout, link)`` of :meth:`restricted_layouts`."""
-        h = h0
+        the compact ``steps`` of :meth:`restricted_layouts` (then the
+        output holds the last layer's rows only)."""
+        h = h0 if steps is None else gather_rows(h0, steps[0][0].columns)
         alpha = None
         for index, layer in enumerate(self.layers):
-            layout = None
-            if plan is not None:
-                layout, link = plan[index]
+            if steps is None:
+                layout = None
+                h = self.dropout(h)
+            else:
+                layout, link = steps[index]
                 if link is not None:
                     alpha = gather_rows(alpha, link)
-            h, alpha = layer(self.dropout(h), alpha, topo, layout)
+                h = dropout(h, self.dropout.p, self.dropout.training,
+                            rows=layout.columns, num_rows=h0.shape[0])
+            h, alpha = layer(h, alpha, topo, layout)
             if index < self.num_layers - 1:
                 h = elu(h)
         if self.normalize_output:

@@ -255,15 +255,27 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # Regularisation
 # ----------------------------------------------------------------------
 @profiled
-def dropout(x: Tensor, p: float, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or ``p == 0``."""
+def dropout(x: Tensor, p: float, training: bool = True,
+            rows: Optional[np.ndarray] = None, num_rows: int = 0) -> Tensor:
+    """Inverted dropout; identity when ``training`` is False or ``p == 0``.
+
+    With ``rows``, ``x`` holds those rows of a ``(num_rows, ...)`` array:
+    the mask is drawn over the whole array and its ``rows`` are taken, so
+    the generator advances, and every row keeps its random numbers, as
+    when the whole array is dropped out.
+    """
     if not training or p <= 0.0:
         return ensure_tensor(x)
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     x = ensure_tensor(x)
-    mask = (random_values(x.shape, dtype=x.data.dtype) >= p).astype(
-        x.data.dtype) / (1.0 - p)
+    dtype = x.data.dtype
+    if rows is None:
+        draws = random_values(x.shape, dtype=dtype)
+    else:
+        draws = np.take(random_values((num_rows,) + x.shape[1:], dtype=dtype),
+                        rows, axis=0)
+    mask = (draws >= p).astype(dtype) / (1.0 - p)
     out = Tensor(x.data * mask, requires_grad=_needs_grad(x))
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
@@ -453,8 +465,11 @@ class AttentionLayout(NamedTuple):
     filled: np.ndarray        # rows with at least one entry
     starts: np.ndarray        # first entry of each filled row
     num_edges: int            # edges of the whole topology
-    # restricted layouts only: each entry's position in the full pattern
+    # restricted layouts only (see restrict): each entry's position in
+    # the full pattern, each column's node, and each row's column
     entries: Optional[np.ndarray] = None
+    columns: Optional[np.ndarray] = None
+    row_columns: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
@@ -472,32 +487,40 @@ class AttentionLayout(NamedTuple):
                    filled, pattern.indptr[:-1][filled], order.shape[0])
 
     def restrict(self, rows: np.ndarray) -> "AttentionLayout":
-        """This (full) layout with every pattern row outside ``rows`` empty.
+        """The part of this (full) layout that computes ``rows``, compact.
 
-        A row keeps all of its entries in their order, so attention and
-        aggregation into a kept row run the same float operations as on
-        the full layout.  ``order``, ``src`` and ``etype`` keep the kept
-        edges' ids in the full topology (edge order), ``inverse`` maps
+        The pattern has one row per kept row (``rows`` sorted, without
+        repeats) and one column per node those rows read: their entries'
+        sources and the rows themselves, renumbered in ``columns`` (sorted
+        global ids).  ``row_columns`` is each row's own column, so a
+        layer's output rows are taken from its input rows.  A row keeps
+        all of its entries in their order, so attention and aggregation
+        into it run the same float operations as on the full layout.
+        ``order`` and ``etype`` keep the kept edges' ids in the full
+        topology, ``src`` their columns (edge order), ``inverse`` maps
         them to the restricted entries, and ``entries`` records each
         restricted entry's position in the full pattern.
         """
-        n = self.pattern.shape[0]
-        keep = np.zeros(n, dtype=bool)
-        keep[np.asarray(rows, dtype=np.int64)] = True
-        counts = np.where(keep, self.counts, 0)
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        keep = np.zeros(self.pattern.shape[0], dtype=bool)
+        keep[rows] = True
         entries = np.flatnonzero(np.repeat(keep, self.counts))
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        counts = self.counts[rows]
+        indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        pattern = SparseTensor(indptr, self.pattern.indices[entries],
-                               self.pattern.values[entries], (n, n))
+        sources = self.pattern.indices[entries]
+        columns = np.union1d(sources, rows)
+        indices = np.searchsorted(columns, sources)
+        pattern = SparseTensor(indptr, indices, self.pattern.values[entries],
+                               (rows.shape[0], columns.shape[0]))
         order = self.order[entries]
         inverse = np.argsort(order, kind="stable")
-        edges = order[inverse]
         filled = counts > 0
-        return type(self)(pattern, order, inverse, self.src[edges],
-                          self.etype[edges], self.etype_sorted[entries],
-                          counts, filled, indptr[:-1][filled],
-                          self.num_edges, entries)
+        return type(self)(pattern, order, inverse, indices[inverse],
+                          self.etype[order[inverse]],
+                          self.etype_sorted[entries], counts, filled,
+                          indptr[:-1][filled], self.num_edges, entries,
+                          columns, np.searchsorted(columns, rows))
 
 
 @profiled
@@ -528,10 +551,12 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     entries in edge order.  The dropout mask is drawn over ``(E, H)`` in
     edge order, so every edge keeps its random number.
 
-    On a :meth:`AttentionLayout.restrict`-ed layout the result holds the
-    kept entries only, each with the bits (and gradients) it has on the
-    full layout; the mask is still drawn over every edge of the topology,
-    so the generator advances as on the full layout.
+    On a compact :meth:`AttentionLayout.restrict`-ed layout
+    ``score_src`` has one row per pattern column and ``score_dst`` one
+    per pattern row.  The result holds the kept entries only, each with
+    the bits (and gradients) it has on the full layout; the mask is still
+    drawn over every edge of the topology, so the generator advances as
+    on the full layout.
     """
     score_src = ensure_tensor(score_src)
     score_dst = ensure_tensor(score_dst)

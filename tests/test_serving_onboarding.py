@@ -27,10 +27,12 @@ from repro.training import NodeClassificationTrainer, TrainConfig, set_seed
 class TestLRUCacheSurgery:
     def test_lookup_and_get(self):
         cache = LRUCache(maxsize=2)
-        assert cache.lookup("a") is None
+        assert "a" not in cache
         assert cache.get("a", lambda: 1) == 1
-        assert cache.lookup("a") == 1
-        assert cache.hits == 1 and cache.misses == 2
+        assert cache.hits == 0 and cache.misses == 1
+        assert "a" in cache
+        assert cache.get("a", lambda: 2) == 1  # a hit does not rebuild
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_get_evicts_oldest(self):
         cache = LRUCache(maxsize=2)

@@ -83,7 +83,8 @@ class BaseHGNN(Module):
                 rows: Optional[np.ndarray] = None) -> Tensor:
         """Target-type logits; only those of ``rows`` (target-type local
         indices, as the split arrays are) when given.  Models may compute
-        just the work those rows read, with the same bits."""
+        just the work those rows read; the logits then equal the full
+        pass's rows to float precision, not bit for bit."""
         logits = self.classifier(self.target_embeddings(h0, view=view))
         return logits if rows is None else logits[rows]
 

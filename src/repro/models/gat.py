@@ -3,117 +3,68 @@
 Multi-head additive attention over the global edge list (self loops
 included), matching the HGB configuration (LeakyReLU slope ``s`` is a
 hyperparameter per dataset in the paper's Appendix B).
+
+SimpleHGN is GAT plus edge-type attention, node and α residuals and L2
+output normalization, so GAT is :class:`~.simple_hgn.SimpleHGN`'s layer
+stack without those extras: :class:`GATLayer` has no edge-type term
+(``edge_dim=0``), β = 0 and no residual projection, and :class:`GAT` does
+not normalize its output.  Both therefore share SimpleHGN's fused
+attention route (:func:`~repro.tensor.csr_attention` +
+:func:`~repro.tensor.weighted_spmm`), its row-restricted passes and its
+sampled path.  The unfused (``reference``) aggregation stays the
+gather × α → scatter composite, whose gradients sum in edge order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..datasets import HeteroDataset
-from ..graph.sampler import GraphView
-from ..tensor import (
-    Dropout,
-    Linear,
-    Module,
-    ModuleList,
-    Parameter,
-    Tensor,
-    attention_aggregate,
-    elu,
-    fused_kernels_enabled,
-    gather_rows,
-    head_dot,
-    init,
-    leaky_relu,
-    scatter_add,
-    segment_softmax,
-)
-from .base import BaseHGNN, edge_arrays_with_self_loops
+from ..tensor import AttentionLayout, Tensor, gather_rows, scatter_add
+from .simple_hgn import SimpleHGN, SimpleHGNLayer
 
 
-class GATLayer(Module):
-    """One multi-head GAT layer over a fixed global edge list."""
+class GATLayer(SimpleHGNLayer):
+    """One multi-head GAT layer over a fixed edge list; its forward
+    returns ``(out, alpha)`` as :class:`SimpleHGNLayer`'s does."""
 
     def __init__(self, in_dim: int, out_dim: int, num_heads: int,
                  src: np.ndarray, dst: np.ndarray, num_nodes: int,
-                 negative_slope: float = 0.2,
-                 attn_dropout: float = 0.3) -> None:
-        super().__init__()
-        if out_dim % num_heads != 0:
-            raise ValueError("out_dim must be divisible by num_heads")
-        self.num_heads = num_heads
-        self.head_dim = out_dim // num_heads
-        self.src, self.dst, self.num_nodes = src, dst, num_nodes
-        self.negative_slope = negative_slope
-        self.proj = Linear(in_dim, out_dim, bias=False)
-        self.attn_src = Parameter(init.xavier_uniform((num_heads, self.head_dim)),
-                                  name="attn_src")
-        self.attn_dst = Parameter(init.xavier_uniform((num_heads, self.head_dim)),
-                                  name="attn_dst")
-        self.attn_dropout = Dropout(attn_dropout)
+                 negative_slope: float = 0.2, attn_dropout: float = 0.3,
+                 layout: Optional[AttentionLayout] = None) -> None:
+        super().__init__(in_dim, out_dim, num_heads, 0, 0, src, dst,
+                         np.zeros_like(src), num_nodes,
+                         negative_slope=negative_slope, beta=0.0,
+                         attn_dropout=attn_dropout, residual=False,
+                         layout=layout)
 
-    def forward(self, h: Tensor,
-                edges: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
-                ) -> Tensor:
-        """One attention layer over the constructor's edges — or, for the
-        sampled path, over an explicit ``(src, dst, num_nodes)`` triple in
-        view-local ids (the weights are topology-free, so they transfer)."""
-        if edges is None:
-            src, dst, n = self.src, self.dst, self.num_nodes
-        else:
-            src, dst, n = edges
-        projected = self.proj(h).reshape(n, self.num_heads, self.head_dim)
-        score_src = head_dot(projected, self.attn_src)  # (N, H)
-        score_dst = head_dot(projected, self.attn_dst)
-        edge_score = leaky_relu(
-            gather_rows(score_src, src) + gather_rows(score_dst, dst),
-            self.negative_slope,
-        )
-        alpha = segment_softmax(edge_score, dst, n)  # (E, H)
-        alpha = self.attn_dropout(alpha)
-        if fused_kernels_enabled():
-            # one node for gather × alpha × scatter (no (E, H, d) graph
-            # intermediates); values match the composite
-            out = attention_aggregate(alpha, projected, src, dst, n)
-        else:
-            messages = gather_rows(projected, src) * alpha.reshape(
-                -1, self.num_heads, 1)
-            out = scatter_add(messages, dst, n)
-        return out.reshape(n, self.num_heads * self.head_dim)
+    def _aggregate(self, alpha: Tensor, projected: Tensor, src: np.ndarray,
+                   dst: np.ndarray, layout: AttentionLayout) -> Tensor:
+        # the composite, not weighted_spmm: its gradients sum in edge
+        # order, which the reference profile's GAT and HAN figures need
+        messages = gather_rows(projected, src) * alpha.reshape(
+            -1, self.num_heads, 1)
+        return scatter_add(messages, dst, layout.pattern.shape[0])
 
 
-class GAT(BaseHGNN):
-    full_graph = True
-    supports_sampling = True
-
+class GAT(SimpleHGN):
     def __init__(self, dataset: HeteroDataset, hidden_dim: int = 64,
                  out_dim: int = 64, num_layers: int = 2, num_heads: int = 4,
                  negative_slope: float = 0.05, dropout: float = 0.5) -> None:
-        super().__init__(dataset, hidden_dim, out_dim)
-        src, dst, _, _ = edge_arrays_with_self_loops(dataset)
-        n = dataset.graph.num_nodes
-        self.num_layers = num_layers
-        dims = [hidden_dim] * num_layers + [out_dim]
-        self.layers = ModuleList([
-            GATLayer(dims[i], dims[i + 1], num_heads, src, dst, n,
-                     negative_slope=negative_slope)
-            for i in range(num_layers)
-        ])
-        self.dropout = Dropout(dropout)
+        super().__init__(dataset, hidden_dim, out_dim, num_layers, num_heads,
+                         negative_slope=negative_slope, dropout=dropout,
+                         normalize_output=False)
 
-    def encode(self, h0: Tensor, view: Optional[GraphView] = None) -> Tensor:
-        edges = None
-        if view is not None:
-            src, dst, _, _ = view.edge_arrays_with_self_loops()
-            edges = (src, dst, view.num_nodes)
-        h = h0
-        for index, layer in enumerate(self.layers):
-            h = layer(self.dropout(h), edges)
-            if index < self.num_layers - 1:
-                h = elu(h)
-        return h
+    @staticmethod
+    def _layer(in_dim: int, out_dim: int, num_heads: int, topo: tuple,
+               negative_slope: float, **unused) -> GATLayer:
+        """A :class:`GATLayer`; SimpleHGN's ``edge_dim`` and ``beta`` do
+        not apply."""
+        src, dst, _, n, layout = topo
+        return GATLayer(in_dim, out_dim, num_heads, src, dst, n,
+                        negative_slope=negative_slope, layout=layout)
 
 
 __all__ = ["GAT", "GATLayer"]

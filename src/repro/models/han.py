@@ -1,8 +1,9 @@
 """HAN (Wang et al., WWW'19) — hierarchical attention over metapaths.
 
 Node-level: a GAT layer per metapath over the metapath-induced graph of the
-target type.  Semantic-level: attention across metapath-specific embeddings.
-Only target-type nodes are embedded (``full_graph = False``).
+target type; the layers of one metapath share its attention layout.
+Semantic-level: attention across metapath-specific embeddings.  Only
+target-type nodes are embedded (``full_graph = False``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from ..datasets import HeteroDataset
 from ..graph import metapath_edge_list
-from ..tensor import Dropout, ModuleList, Tensor, elu
+from ..tensor import AttentionLayout, Dropout, ModuleList, Tensor, elu
 from .base import BaseHGNN
 from .gat import GATLayer
 from .semantic import SemanticAttention
@@ -42,13 +43,15 @@ class HAN(BaseHGNN):
         if not self.edge_lists:
             raise ValueError("no metapath starts at the target type")
 
+        layouts = [AttentionLayout.build(src, dst, np.zeros_like(src), n_target)
+                   for (src, dst) in self.edge_lists]
         dims = [hidden_dim] * num_layers + [out_dim]
         self.path_layers = ModuleList()
         for layer_index in range(num_layers):
             per_path = ModuleList([
                 GATLayer(dims[layer_index], dims[layer_index + 1], num_heads,
-                         src, dst, n_target)
-                for (src, dst) in self.edge_lists
+                         src, dst, n_target, layout=layout)
+                for (src, dst), layout in zip(self.edge_lists, layouts)
             ])
             self.path_layers.append(per_path)
         self.semantic = ModuleList([
@@ -61,7 +64,7 @@ class HAN(BaseHGNN):
         h = h0[self.target_ids]
         for layer_index in range(self.num_layers):
             h = self.dropout(h)
-            per_path = [layer(h) for layer in self.path_layers[layer_index]]
+            per_path = [layer(h)[0] for layer in self.path_layers[layer_index]]
             h = self.semantic[layer_index](per_path)
             if layer_index < self.num_layers - 1:
                 h = elu(h)

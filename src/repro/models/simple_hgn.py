@@ -4,7 +4,10 @@ GAT-style attention extended with (1) learnable edge-type embeddings inside
 the attention logits, (2) node-level residual connections, and (3) an edge
 attention residual ``alpha = (1-beta) * alpha + beta * alpha_prev`` carried
 across layers.  Final-layer outputs are L2-normalized as in the HGB
-implementation.
+implementation.  GAT (:mod:`.gat`) is this layer stack without those
+extras: no edge-type term (``edge_dim=0``), no residuals and no output
+normalization, so the attention, the compact passes and the sampled
+path below serve both models.
 
 Aggregation: the attention-weighted neighborhood sum
 ``out[v] = Σ_e α_e · proj[src_e]`` is a CSR×dense product with a *fixed*
@@ -19,7 +22,8 @@ segment softmax, the β residual and attention dropout) is one
 order.  There α is in pattern order: it goes straight into
 ``weighted_spmm`` and, as ``alpha_prev``, into the next layer.  The
 unfused (``reference``) path keeps the composite in edge order, and its
-α is in edge order.
+α is in edge order; its aggregation is :meth:`SimpleHGNLayer._aggregate`
+(GAT's layer keeps the gather × α → scatter composite there).
 
 Row-restricted passes: ``forward(h0, rows=r)`` under the fused kernels
 runs each layer only on the rows the next one reads
@@ -39,6 +43,7 @@ Edge-type scores: ``<edge_table[etype_e], attn_edge>`` takes one value
 per edge type.  Under the fused kernels it is computed once per type
 (:meth:`SimpleHGNLayer.type_scores`).  That sums the ``edge_table``
 gradient in another order, so the unfused path keeps the per-edge gather.
+A layer with ``edge_dim=0`` has no edge-type table and no such term.
 """
 
 from __future__ import annotations
@@ -90,16 +95,17 @@ class SimpleHGNLayer(Module):
         self.negative_slope = negative_slope
         self.beta = beta
         self.proj = Linear(in_dim, out_dim, bias=False)
+        # edge_dim=0: no edge-type term in the attention
         self.edge_table = Parameter(
             init.xavier_uniform((num_edge_types, num_heads * edge_dim)),
-            name="edge_table")
+            name="edge_table") if edge_dim else None
         self.edge_dim = edge_dim
         self.attn_src = Parameter(init.xavier_uniform((num_heads, self.head_dim)),
                                   name="attn_src")
         self.attn_dst = Parameter(init.xavier_uniform((num_heads, self.head_dim)),
                                   name="attn_dst")
         self.attn_edge = Parameter(init.xavier_uniform((num_heads, edge_dim)),
-                                   name="attn_edge")
+                                   name="attn_edge") if edge_dim else None
         self.residual_proj = Linear(in_dim, out_dim, bias=False) if residual else None
         self.attn_dropout = Dropout(attn_dropout)
         # static CSR pattern (dst rows, src cols); attention values are
@@ -141,39 +147,46 @@ class SimpleHGNLayer(Module):
         else:
             src, dst, etype, n, layout = topo
         heads = self.num_heads
+        typed = self.edge_table is not None
         projected = self.proj(h).reshape(h.shape[0], heads, self.head_dim)
         score_src = head_dot(projected, self.attn_src)
         score_dst = head_dot(projected, self.attn_dst)
         if layout.row_columns is not None:
             # compact: the output rows are a subset of the input rows
             score_dst = gather_rows(score_dst, layout.row_columns)
-            h = gather_rows(h, layout.row_columns)
+            if self.residual_proj is not None:
+                h = gather_rows(h, layout.row_columns)
         if fused_kernels_enabled():
             dropout = self.attn_dropout
-            alpha = csr_attention(score_src, score_dst, self.type_scores(),
+            alpha = csr_attention(score_src, score_dst,
+                                  self.type_scores() if typed else None,
                                   layout, self.negative_slope,
                                   alpha_prev=alpha_prev, beta=self.beta,
                                   dropout_p=dropout.p,
                                   training=dropout.training)
-            alpha_sorted = alpha
+            out = weighted_spmm(layout.pattern, alpha, projected)
         else:
-            logits = leaky_relu(
-                gather_rows(score_src, src) + gather_rows(score_dst, dst)
-                + self.edge_scores(etype),
-                self.negative_slope,
-            )
+            logits = gather_rows(score_src, src) + gather_rows(score_dst, dst)
+            if typed:
+                logits = logits + self.edge_scores(etype)
             alpha = segment_softmax(
-                logits, dst, n,
+                leaky_relu(logits, self.negative_slope), dst, n,
                 sorted_by=(layout.order, layout.pattern.indptr))
             if alpha_prev is not None and self.beta > 0:
                 alpha = alpha * (1.0 - self.beta) + alpha_prev * self.beta
             alpha = self.attn_dropout(alpha)
-            alpha_sorted = gather_rows(alpha, layout.order)  # (E, H)
-        out = weighted_spmm(layout.pattern, alpha_sorted, projected).reshape(
-            layout.pattern.shape[0], heads * self.head_dim)
+            out = self._aggregate(alpha, projected, src, dst, layout)
+        out = out.reshape(layout.pattern.shape[0], heads * self.head_dim)
         if self.residual_proj is not None:
             out = out + self.residual_proj(h)
         return out, alpha
+
+    def _aggregate(self, alpha: Tensor, projected: Tensor, src: np.ndarray,
+                   dst: np.ndarray, layout: AttentionLayout) -> Tensor:
+        """``out[v] = Σ_{e into v} α_e · projected[src_e]`` from the
+        unfused path's edge-order α, ``(rows, H, head_dim)``."""
+        return weighted_spmm(layout.pattern, gather_rows(alpha, layout.order),
+                             projected)
 
 
 class SimpleHGN(BaseHGNN):
@@ -190,17 +203,28 @@ class SimpleHGN(BaseHGNN):
         n = dataset.graph.num_nodes
         self.num_layers = num_layers
         self.normalize_output = normalize_output
-        layout = AttentionLayout.build(src, dst, etype, n)
+        topo = (src, dst, etype, n, AttentionLayout.build(src, dst, etype, n))
         dims = [hidden_dim] * num_layers + [out_dim]
         self.layers = ModuleList([
-            SimpleHGNLayer(dims[i], dims[i + 1], num_heads, edge_dim,
-                           num_edge_types, src, dst, etype, n,
-                           negative_slope=negative_slope, beta=beta,
-                           layout=layout)
+            self._layer(dims[i], dims[i + 1], num_heads, topo,
+                        negative_slope, edge_dim=edge_dim,
+                        num_edge_types=num_edge_types, beta=beta)
             for i in range(num_layers)
         ])
         self.dropout = Dropout(dropout)
         self._restricted: dict = {}
+
+    @staticmethod
+    def _layer(in_dim: int, out_dim: int, num_heads: int, topo: tuple,
+               negative_slope: float, edge_dim: int, num_edge_types: int,
+               beta: float) -> SimpleHGNLayer:
+        """One layer over the model's ``(src, dst, etype, n, layout)``
+        topology; the layers share its layout."""
+        src, dst, etype, n, layout = topo
+        return SimpleHGNLayer(in_dim, out_dim, num_heads, edge_dim,
+                              num_edge_types, src, dst, etype, n,
+                              negative_slope=negative_slope, beta=beta,
+                              layout=layout)
 
     def restricted_layouts(self, rows: np.ndarray) -> tuple:
         """``(steps, take)`` of a pass read only at ``rows``.
@@ -276,8 +300,9 @@ class SimpleHGN(BaseHGNN):
                 h = self.dropout(h)
             else:
                 layout, link = steps[index]
-                if link is not None:
-                    alpha = gather_rows(alpha, link)
+                if link is not None:  # α is read only as β's residual
+                    alpha = gather_rows(alpha, link) if layer.beta > 0 \
+                        else None
                 h = dropout(h, self.dropout.p, self.dropout.training,
                             rows=layout.columns, num_rows=h0.shape[0])
             h, alpha = layer(h, alpha, topo, layout)

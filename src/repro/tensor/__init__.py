@@ -17,7 +17,6 @@ from .dtype import get_default_dtype, is_fast_dtype, set_default_dtype
 from .functional import (
     AttentionLayout,
     addmm,
-    attention_aggregate,
     binary_cross_entropy_with_logits,
     cross_entropy,
     csr_attention,
@@ -28,12 +27,8 @@ from .functional import (
     head_dot,
     l2_normalize,
     log_softmax,
-    nll_loss,
     one_hot,
-    segment_mean,
     segment_softmax,
-    segment_sum,
-    segment_weighted_mean,
     set_fused_kernels,
     softmax,
 )
@@ -112,10 +107,8 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "nll_loss",
     "binary_cross_entropy_with_logits",
     "addmm",
-    "attention_aggregate",
     "AttentionLayout",
     "csr_attention",
     "head_dot",
@@ -129,10 +122,7 @@ __all__ = [
     "l2_normalize",
     "one_hot",
     "embedding",
-    "segment_sum",
-    "segment_mean",
     "segment_softmax",
-    "segment_weighted_mean",
     "spmm",
     "weighted_spmm",
     "SparseTensor",

@@ -10,7 +10,7 @@ Fused kernels
 A second, faster implementation exists for the hottest composites:
 ``addmm`` (matmul + bias in one node), ``cross_entropy`` (log-softmax +
 NLL in one node), ``segment_softmax`` (one node instead of five),
-``attention_aggregate`` (gather × weights × scatter in one node) and
+``csr_attention`` (attention logits to dropped-out α in one node) and
 ``l2_normalize`` (one node instead of five).  Each avoids materializing
 intermediate tensors and graph nodes.  They are gated behind
 :func:`set_fused_kernels` — default **off** — because most of their
@@ -204,23 +204,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
     return out
 
 
-@profiled
-def nll_loss(log_probs: Tensor, targets: np.ndarray,
-             reduction: str = "mean") -> Tensor:
-    """Negative log likelihood on precomputed log-probabilities."""
-    log_probs = ensure_tensor(log_probs)
-    targets = np.asarray(targets, dtype=np.int64)
-    n = log_probs.shape[0]
-    picked = gather_rows(log_probs.reshape(-1),
-                         targets + np.arange(n) * log_probs.shape[-1])
-    loss = -picked
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    return loss
-
-
 # ----------------------------------------------------------------------
 # Linear algebra fusions
 # ----------------------------------------------------------------------
@@ -338,21 +321,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
 # ----------------------------------------------------------------------
 # Segment operations (per-destination-node softmax etc.)
 # ----------------------------------------------------------------------
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Alias of :func:`scatter_add` under its conventional name."""
-    return scatter_add(x, segment_ids, num_segments)
-
-
-def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Mean of rows per segment; empty segments yield zeros."""
-    x = ensure_tensor(x)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    totals = scatter_add(x, segment_ids, num_segments)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(x.data.dtype)
-    counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (totals.ndim - 1))
-    return totals * (1.0 / counts)
-
-
 def segment_max_data(x: np.ndarray, segment_ids: np.ndarray,
                      num_segments: int,
                      sorted_by: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -524,11 +492,13 @@ class AttentionLayout(NamedTuple):
 
 
 @profiled
-def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
+def csr_attention(score_src: Tensor, score_dst: Tensor,
+                  type_score: Optional[Tensor],
                   layout: AttentionLayout, negative_slope: float,
                   alpha_prev: Optional[Tensor] = None, beta: float = 0.0,
                   dropout_p: float = 0.0, training: bool = False) -> Tensor:
-    """SimpleHGN's edge attention as one node, in ``layout.pattern`` order.
+    """SimpleHGN's and GAT's edge attention as one node, in
+    ``layout.pattern`` order.
 
     Per edge ``e = (u → v)`` of type ``t``, with ``a = softmax`` over the
     edges into ``v``::
@@ -537,7 +507,8 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
                                                     + type_score[t]))
                           + beta · alpha_prev_e)
 
-    ``score_src``/``score_dst`` are ``(N, H)``, ``type_score`` ``(T, H)``;
+    ``score_src``/``score_dst`` are ``(N, H)``, ``type_score`` ``(T, H)``
+    or ``None`` (no edge-type term, as in GAT's attention);
     ``alpha_prev`` and the result are ``(E, H)`` in pattern order, so the
     result goes straight into :func:`~repro.tensor.weighted_spmm` and the
     next layer.  The residual applies when ``alpha_prev`` is given and
@@ -560,12 +531,15 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     """
     score_src = ensure_tensor(score_src)
     score_dst = ensure_tensor(score_dst)
-    type_score = ensure_tensor(type_score)
+    parents = (score_src, score_dst)
     pattern, counts = layout.pattern, layout.counts
     dst = pattern.row_of_nnz
     logits = (np.take(score_src.data, pattern.indices, axis=0)
-              + np.repeat(score_dst.data, counts, axis=0)) \
-        + np.take(type_score.data, layout.etype_sorted, axis=0)
+              + np.repeat(score_dst.data, counts, axis=0))
+    if type_score is not None:
+        type_score = ensure_tensor(type_score)
+        parents += (type_score,)
+        logits += np.take(type_score.data, layout.etype_sorted, axis=0)
     positive = logits > 0
     act = leaky_relu_data(logits, negative_slope)
 
@@ -579,7 +553,6 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
     scatter_accumulate(denom, dst, exp_scores)
     soft = exp_scores / (np.repeat(denom, counts, axis=0) + 1e-16)
 
-    parents = (score_src, score_dst, type_score)
     alpha = soft
     residual = alpha_prev is not None and beta > 0
     if residual:
@@ -623,7 +596,7 @@ def csr_attention(score_src: Tensor, score_dst: Tensor, type_score: Tensor,
             per_edge = np.take(g_logits, layout.inverse, axis=0)
             for scores, index in ((score_src, layout.src),
                                   (type_score, layout.etype)):
-                if scores.requires_grad:
+                if scores is not None and scores.requires_grad:
                     full = np.zeros_like(scores.data)
                     scatter_accumulate(full, index, per_edge)
                     scores.accumulate_grad(full)
@@ -657,54 +630,6 @@ def head_dot(x: Tensor, vec: Tensor) -> Tensor:
     return out
 
 
-@profiled
-def attention_aggregate(alpha: Tensor, x: Tensor, src: np.ndarray,
-                        dst: np.ndarray, num_nodes: int) -> Tensor:
-    """Fused attention-weighted aggregation (one node):
-
-    ``out[v, h] = Σ_{e: dst_e = v} alpha[e, h] · x[src_e, h]``
-
-    with ``alpha`` of shape ``(E, H)`` and ``x`` of shape ``(N, H, d)``.
-    Replaces the gather → broadcast-multiply → scatter composite used by
-    GAT-style layers, which materializes an ``(E, H, d)`` message tensor
-    twice (forward and backward).  The ``(E, H, d)`` product is still
-    formed once here, but no graph nodes or duplicate buffers survive it.
-    """
-    alpha, x = ensure_tensor(alpha), ensure_tensor(x)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if alpha.ndim != 2 or x.ndim != 3 or alpha.shape[1] != x.shape[1]:
-        raise ValueError(
-            f"attention_aggregate needs alpha (E, H) and x (N, H, d); got "
-            f"{alpha.shape} and {x.shape}")
-    messages = np.take(x.data, src, axis=0) * alpha.data[:, :, None]
-    out_data = np.zeros((num_nodes,) + x.data.shape[1:], dtype=x.data.dtype)
-    scatter_accumulate(out_data, dst, messages)
-    out = Tensor(out_data, requires_grad=_needs_grad(alpha, x))
-    if out.requires_grad:
-        def backward(grad: np.ndarray) -> None:
-            grad_per_edge = np.take(grad, dst, axis=0)     # (E, H, d)
-            if alpha.requires_grad:
-                x_per_edge = np.take(x.data, src, axis=0)
-                alpha.accumulate_grad(np.einsum("ehd,ehd->eh", grad_per_edge,
-                                                x_per_edge))
-            if x.requires_grad:
-                gx = np.zeros_like(x.data)
-                scatter_accumulate(gx, src, grad_per_edge * alpha.data[:, :, None])
-                x.accumulate_grad(gx)
-        out._rig((alpha, x), backward)
-    return out
-
-
-def segment_weighted_mean(values: Tensor, weights: Tensor,
-                          segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """``sum_i w_i v_i / sum_i w_i`` per segment (both differentiable)."""
-    weighted = values * weights
-    num = scatter_add(weighted, segment_ids, num_segments)
-    den = scatter_add(weights, segment_ids, num_segments)
-    return num / (den + 1e-16)
-
-
 # ----------------------------------------------------------------------
 # Embeddings
 # ----------------------------------------------------------------------
@@ -728,19 +653,14 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
-    "nll_loss",
     "addmm",
     "dropout",
     "l2_normalize",
     "layer_norm",
-    "segment_sum",
-    "segment_mean",
     "segment_max_data",
     "segment_softmax",
-    "segment_weighted_mean",
     "AttentionLayout",
     "csr_attention",
-    "attention_aggregate",
     "head_dot",
     "embedding",
     "one_hot",

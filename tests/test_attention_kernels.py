@@ -1,10 +1,11 @@
-"""Byte-for-byte parity of SimpleHGN's attention kernels.
+"""Byte-for-byte parity of the attention kernels of SimpleHGN, GAT and HAN.
 
 The block-diagonal ``weighted_spmm``, its chunked value gradient, the
 ``reduceat`` segment max, the per-type edge score and the one-node
 ``csr_attention`` replace slower formulations of the same sums.  Each
 must reproduce the formulation it replaced bit for bit (the
 ``reference`` profile's figures depend on it), in float32 and float64.
+GAT's and HAN's ``reference`` layers are pinned to their composite too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.tensor import (
     gradcheck,
     leaky_relu,
     manual_seed,
+    scatter_add,
     segment_softmax,
     set_default_dtype,
     weighted_spmm,
@@ -172,13 +174,17 @@ class TestPerTypeEdgeScore:
 def _composite_attention(score_src, score_dst, type_score, layout, dst,
                          slope, alpha_prev, beta, p, training):
     """The chain ``csr_attention`` replaces, in edge order, then gathered
-    into pattern order (SimpleHGN's layer before the fused node)."""
+    into pattern order: SimpleHGN's layer before the fused node or, with
+    ``type_score=None``, GAT's former fused chain (no edge-type term and
+    an unsorted segment softmax)."""
     n = score_dst.shape[0]
-    logits = leaky_relu(gather_rows(score_src, layout.src)
-                        + gather_rows(score_dst, dst)
-                        + gather_rows(type_score, layout.etype), slope)
-    alpha = segment_softmax(logits, dst, n,
-                            sorted_by=(layout.order, layout.pattern.indptr))
+    logits = gather_rows(score_src, layout.src) + gather_rows(score_dst, dst)
+    sorted_by = None
+    if type_score is not None:
+        logits = logits + gather_rows(type_score, layout.etype)
+        sorted_by = (layout.order, layout.pattern.indptr)
+    alpha = segment_softmax(leaky_relu(logits, slope), dst, n,
+                            sorted_by=sorted_by)
     if alpha_prev is not None and beta > 0:
         alpha = alpha * (1.0 - beta) + alpha_prev * beta
     return gather_rows(dropout(alpha, p, training=training), layout.order)
@@ -188,7 +194,8 @@ class TestCsrAttention:
     """``csr_attention`` against the composite chain, byte for byte."""
 
     @staticmethod
-    def _run(dtype, heads, beta, training, with_prev=True, seed=0):
+    def _run(dtype, heads, beta, training, with_prev=True, seed=0,
+             typed=True):
         rng = np.random.default_rng(seed)
         n, num_types, num_edges = 30, 3, 200
         # destinations skip 0, 7 and 29: empty segments, incl. the last
@@ -202,6 +209,8 @@ class TestCsrAttention:
                   "s_dst": rng.normal(size=(n, heads)) * 3,
                   "types": rng.normal(size=(num_types, heads)),
                   "prev": rng.uniform(size=(num_edges, heads))}
+        if not typed:
+            del inputs["types"]
         weight = rng.normal(size=(num_edges, heads))  # pattern order
         results = []
         with set_default_dtype(dtype), fused_kernels():
@@ -216,12 +225,12 @@ class TestCsrAttention:
                                       requires_grad=True)
                         leaves["prev"] = prev
                     alpha = csr_attention(
-                        leaves["s_src"], leaves["s_dst"], leaves["types"],
+                        leaves["s_src"], leaves["s_dst"], leaves.get("types"),
                         layout, 0.05, alpha_prev=prev, beta=beta,
                         dropout_p=0.3, training=training)
                 else:
                     alpha = _composite_attention(
-                        leaves["s_src"], leaves["s_dst"], leaves["types"],
+                        leaves["s_src"], leaves["s_dst"], leaves.get("types"),
                         layout, dst, 0.05, prev, beta, 0.3, training)
                 (alpha * Tensor(weight)).sum().backward()
                 grads = {k: t.grad for k, t in leaves.items()
@@ -260,6 +269,23 @@ class TestCsrAttention:
         for name in want_grads:
             assert got_grads[name].tobytes() == want_grads[name].tobytes()
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_without_type_score_matches_gat_chain(self, dtype, heads,
+                                                  training):
+        (want, want_grads, want_next), (got, got_grads, got_next) = \
+            self._run(dtype, heads, 0.0, training, with_prev=False,
+                      typed=False)
+        assert got_next == want_next
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert set(got_grads) == set(want_grads) == {"s_src", "s_dst"}
+        for name in want_grads:
+            assert got_grads[name].dtype == want_grads[name].dtype, name
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), \
+                name
+
     def test_dropout_only_in_training(self):
         """From the same generator state, training drops entries and
         draws; eval drops none and draws nothing."""
@@ -282,3 +308,51 @@ class TestCsrAttention:
         np.testing.assert_allclose(pattern_order.data,
                                    edge_order.data[layer._layout.order],
                                    atol=1e-12)
+
+
+def _gat_composite(layer, h):
+    """A GAT layer under ``reference``, written out: the attention in edge
+    order, then gather × α → scatter_add (gradients sum in edge order)."""
+    heads, head_dim = layer.num_heads, layer.head_dim
+    src, dst, n = layer.src, layer.dst, layer.num_nodes
+    projected = (h @ layer.proj.weight).reshape(n, heads, head_dim)
+    logits = leaky_relu(
+        gather_rows((projected * layer.attn_src).sum(axis=-1), src)
+        + gather_rows((projected * layer.attn_dst).sum(axis=-1), dst),
+        layer.negative_slope)
+    alpha = dropout(segment_softmax(logits, dst, n), layer.attn_dropout.p,
+                    training=layer.training)
+    messages = gather_rows(projected, src) * alpha.reshape(-1, heads, 1)
+    return scatter_add(messages, dst, n).reshape(n, heads * head_dim), alpha
+
+
+class TestGATReferenceLayer:
+    """Under ``reference`` a GAT layer (GAT's and HAN's) is its composite,
+    bit for bit: output, α, and the input and parameter gradients."""
+
+    @pytest.mark.parametrize("name", ["gat", "han"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_equals_the_composite(self, imdb_tiny, name, training):
+        model = build_model(name, imdb_tiny, hidden_dim=16, out_dim=16)
+        layer = (model.layers if name == "gat" else model.path_layers[0])[0]
+        layer.train(training)
+        rng = np.random.default_rng(0)
+        h_data = rng.normal(size=(layer.num_nodes, 16))
+        weight = rng.normal(size=(layer.num_nodes, 16))
+        results = []
+        for run in (layer, lambda h: _gat_composite(layer, h)):
+            for param in layer.parameters():
+                param.zero_grad()
+            h = Tensor(h_data.copy(), requires_grad=True)
+            manual_seed(1)
+            with fused_kernels(False):
+                out, alpha = run(h)
+                (out * Tensor(weight)).sum().backward()
+            results.append([out.data, alpha.data, h.grad]
+                           + [param.grad.copy()
+                              for param in layer.parameters()])
+        got, want = results
+        assert len(got) == len(want) == 6  # proj, attn_src, attn_dst
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype == np.float64
+            assert got_array.tobytes() == want_array.tobytes()

@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 from repro.tensor import (
+    AttentionLayout,
     SparseTensor,
     Tensor,
     addmm,
-    attention_aggregate,
     binary_cross_entropy_with_logits,
     cross_entropy,
+    csr_attention,
     dropout,
     fused_kernels,
     get_default_dtype,
@@ -36,11 +37,7 @@ from repro.tensor import (
     l2_normalize,
     log_softmax,
     manual_seed,
-    nll_loss,
-    segment_mean,
     segment_softmax,
-    segment_sum,
-    segment_weighted_mean,
     set_default_dtype,
     softmax,
     spmm,
@@ -137,6 +134,8 @@ def _gradcheck_all_ops():
     targets = np.array([1, 0, 2, 1, 0])
     edge_src = np.array([0, 1, 2, 3, 0, 2])
     edge_dst = np.array([1, 1, 2, 0, 3, 3])
+    layout = AttentionLayout.build(edge_src, edge_dst,
+                                   np.zeros_like(edge_src), 4)
 
     def dropout_deterministic(x):
         manual_seed(7)  # numerical_gradient re-evaluates; fix the mask
@@ -163,8 +162,6 @@ def _gradcheck_all_ops():
         ("cross_entropy_none",
          lambda x: cross_entropy(x, targets, reduction="none"),
          lambda: [_t((5, 3))]),
-        ("nll_loss",
-         lambda x: nll_loss(log_softmax(x), targets), lambda: [_t((5, 3))]),
         ("bce_with_logits",
          lambda x: binary_cross_entropy_with_logits(
              x, np.array([1.0, 0, 1, 0, 1])),
@@ -175,22 +172,13 @@ def _gradcheck_all_ops():
         ("l2_normalize", lambda x: l2_normalize(x), lambda: [_t((4, 3))]),
         ("layer_norm", lambda x, w, b: layer_norm(x, w, b),
          lambda: [_t((4, 3)), _t((3,), seed=1), _t((3,), seed=2)]),
-        ("segment_sum", lambda x: segment_sum(x, seg, 3),
-         lambda: [_t((6, 2))]),
-        ("segment_mean", lambda x: segment_mean(x, seg, 3),
-         lambda: [_t((6, 2))]),
         ("segment_softmax", lambda x: segment_softmax(x, seg, 3),
          lambda: [_t((6, 2))]),
-        ("segment_weighted_mean",
-         lambda v, w: segment_weighted_mean(v, w, seg, 3),
-         lambda: [_t((6, 2)), Tensor(
-             np.abs(np.random.default_rng(3).normal(size=(6, 2))) + 0.1,
-             requires_grad=True)]),
         ("head_dot", lambda x, v: head_dot(x, v),
          lambda: [_t((5, 2, 3)), _t((2, 3), seed=1)]),
-        ("attention_aggregate",
-         lambda a, x: attention_aggregate(a, x, edge_src, edge_dst, 4),
-         lambda: [_t((6, 2)), _t((4, 2, 3), seed=1)]),
+        ("csr_attention_untyped",
+         lambda s, d: csr_attention(s, d, None, layout, 0.2),
+         lambda: [_t((4, 2)), _t((4, 2), seed=1)]),
         ("embedding",
          lambda table: embedding(table, np.array([0, 2, 2, 1])),
          lambda: [_t((3, 4))]),

@@ -19,14 +19,11 @@ from repro.perf import (
 from repro.tensor import (
     Tensor,
     addmm,
-    attention_aggregate,
     cross_entropy,
     fused_kernels,
     fused_kernels_enabled,
-    gather_rows,
     get_default_dtype,
     head_dot,
-    scatter_add,
     segment_softmax,
 )
 from repro.tensor.tensor import scatter_accumulate
@@ -117,17 +114,6 @@ class TestFusedEquivalence:
         composite = segment_softmax(scores, seg, 3)
         with fused_kernels():
             fused = segment_softmax(_t((7, 3)), seg, 3)
-        np.testing.assert_allclose(composite.data, fused.data,
-                                   rtol=1e-12, atol=1e-14)
-
-    def test_attention_aggregate_matches_composite(self):
-        src = np.array([0, 1, 2, 3, 0, 2])
-        dst = np.array([1, 1, 2, 0, 3, 3])
-        alpha, x = _t((6, 2)), _t((4, 2, 5), seed=1)
-        messages = gather_rows(x, src) * alpha.reshape(-1, 2, 1)
-        composite = scatter_add(messages, dst, 4)
-        with fused_kernels():
-            fused = attention_aggregate(alpha, x, src, dst, 4)
         np.testing.assert_allclose(composite.data, fused.data,
                                    rtol=1e-12, atol=1e-14)
 

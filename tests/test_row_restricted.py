@@ -1,7 +1,8 @@
 """Row-restricted passes: ``model(h0, rows=r)`` is ``model(h0)[r]``.
 
-Under the fused kernels SimpleHGN runs each layer only on the rows the
-layers above (and finally the loss) read, over compact
+Under the fused kernels SimpleHGN (and GAT, its configuration without
+edge types, residuals or output normalization) runs each layer only on
+the rows the layers above (and finally the loss) read, over compact
 :meth:`AttentionLayout.restrict`-ed layouts.  The parts that use no BLAS
 are checked byte for byte: the compact layout against a brute-force edge
 filter, :func:`csr_attention`, :func:`weighted_spmm` and row-drawn
@@ -182,7 +183,20 @@ class TestSimpleHGNParity:
         _assert_same(restricted, full)
         assert model._restricted == {}
 
-    @pytest.mark.parametrize("name", ["gat", "magnn"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gat_takes_the_compact_pass(self, imdb_tiny, dtype):
+        model = _model(imdb_tiny, dtype, name="gat")
+        h0 = _h0(imdb_tiny, dtype)
+        rows = imdb_tiny.split.train
+        with set_default_dtype(dtype), fused_kernels(True):
+            assert model.training
+            full = _pass(model, h0, rows, restricted=False)
+            assert model._restricted == {}
+            restricted = _pass(model, h0, rows, restricted=True)
+        assert len(model._restricted) == 1
+        _assert_equivalent(restricted, full)
+
+    @pytest.mark.parametrize("name", ["magnn"])
     def test_other_models_take_the_default_path(self, imdb_tiny, name):
         model = _model(imdb_tiny, np.float32, name=name)
         h0 = _h0(imdb_tiny, np.float32)

@@ -7,8 +7,9 @@ Rendered tables are printed so the run log doubles as the reproduction
 report (see EXPERIMENTS.md).
 
 Perf trajectory: the ``record_benchmark`` fixture appends machine-readable
-``{name, value, unit, commit}`` rows to ``BENCH_perf.json`` at the repo
-root.  The guard benchmarks (sparse speedup, serving throughput, search
+``{name, value, unit, commit}`` rows, stamped with the host's
+provenance (cores, Python, numpy, scale), to ``BENCH_perf.json`` at the
+repo root.  The guard benchmarks (sparse speedup, serving throughput, search
 speedup) record their headline numbers there, so ``make bench`` leaves a
 commit-stamped perf history behind.  Only rows of tests that passed are
 written: a benchmark records before it asserts, so a failing run's
@@ -27,7 +28,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.perf.recording import current_commit, merge_bench_rows  # noqa: E402
+from repro.perf.recording import (  # noqa: E402
+    current_commit,
+    host_provenance,
+    merge_bench_rows,
+)
 
 SCALE = os.environ.get("REPRO_SCALE", "tiny")
 
@@ -90,14 +95,17 @@ def record_benchmark(request):
     ``make bench`` runs accumulate a trajectory.  The merge is
     idempotent per ``(name, commit)``, and a re-record at a *clean*
     commit evicts any provisional ``-dirty`` rows of the same benchmark
-    — only moving to a new clean commit grows the trajectory.
+    — only moving to a new clean commit grows the trajectory.  Each
+    row carries :func:`repro.perf.recording.host_provenance` as
+    ``host``.
     """
     commit = current_commit(BENCH_PATH.parent)
+    host = host_provenance()
 
     def record(name: str, value: float, unit: str) -> None:
         _ROWS.append((request.node.nodeid,
                       {"name": str(name), "value": float(value),
-                       "unit": str(unit), "commit": commit}))
+                       "unit": str(unit), "commit": commit, "host": host}))
 
     return record
 

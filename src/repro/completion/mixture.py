@@ -141,6 +141,18 @@ class FeatureBuilder(Module):
             return None
         return gather_rows(completed, np.asarray(rows, dtype=np.int64))
 
+    def _missing_blocks(self, rows: Optional[np.ndarray] = None
+                        ) -> List[Tuple[Tensor, Optional[np.ndarray]]]:
+        """The completed V⁻ rows as ``(values, at)`` blocks for ``h0``.
+
+        ``at`` are the block's positions among V⁻ (``rows`` when given),
+        ``None`` for all of them.  The base is one block:
+        :meth:`completed` (or :meth:`completed_rows`) whole.
+        """
+        completed = (self.completed() if rows is None
+                     else self.completed_rows(rows))
+        return [] if completed is None else [(completed, None)]
+
     def _view_missing(self, view: GraphView) -> tuple:
         """``(view_local_positions, missing_rows)`` of the view's V⁻ nodes.
 
@@ -159,22 +171,21 @@ class FeatureBuilder(Module):
         return self.projector(view)
 
     def forward(self, view: Optional[GraphView] = None) -> Tensor:
-        """``h0``: the projected V⁺ blocks and the completed V⁻ rows,
-        placed by one :func:`~repro.tensor.place_rows` node (node types
-        partition the rows)."""
+        """``h0``: the projected V⁺ blocks and the completed V⁻ blocks
+        (:meth:`_missing_blocks`), placed by one
+        :func:`~repro.tensor.place_rows` node (node types partition the
+        rows)."""
         blocks = self._projected(view)
         if view is None:
             n = self.dataset.graph.num_nodes
-            completed = self.completed()
-            if completed is not None and self.dataset.missing_global_ids.size:
-                blocks.append((completed, self.dataset.missing_global_ids))
+            targets = self.dataset.missing_global_ids
+            missing = self._missing_blocks() if targets.size else []
         else:
             n = view.num_nodes
-            positions, rows = self._view_missing(view)
-            if rows.size:
-                completed = self.completed_rows(rows)
-                if completed is not None:
-                    blocks.append((completed, positions))
+            targets, rows = self._view_missing(view)
+            missing = self._missing_blocks(rows) if rows.size else []
+        blocks += [(values, targets if at is None else np.take(targets, at))
+                   for values, at in missing]
         if not blocks:  # a batch may touch no attributed node at all
             return Tensor(np.zeros((n, self.hidden_dim),
                                    dtype=get_default_dtype()))
@@ -244,9 +255,15 @@ class WeightedCompletionFeatures(FeatureBuilder):
 
     The weight matrix is supplied externally before each forward pass via
     :meth:`set_weights`; AutoAC's search sets either softmax-relaxed rows
-    (continuous mode) or one-hot rows (discrete mode).  Ops whose total
-    weight is exactly zero are skipped — this is the computational saving
-    that the paper's discrete constraints buy (Table VIII).
+    (continuous mode) or one-hot rows (discrete mode).  Constant one-hot
+    weights (the discrete lower step, validation, retraining,
+    :class:`FixedAssignmentFeatures`) are not multiplied in: each op's
+    output gives only the rows assigned to it (one row gather), and the
+    blocks are placed straight into ``h0`` — the saving the paper's
+    discrete constraints buy (Table VIII).  An op with no row is skipped.
+    Weights that require grad, or fractional ones, take the mixture
+    ``Σ_k w[:, k] * op_k``; there a constant all-zero column is skipped.
+    Both give the same ``h0`` and gradients bit for bit.
 
     Candidate cache: within one search epoch the op outputs and the
     projected V⁺ block are identical across the upper step, the lower
@@ -335,45 +352,90 @@ class WeightedCompletionFeatures(FeatureBuilder):
         return self.projector()
 
     def completed(self) -> Optional[Tensor]:
-        if not self.dataset.missing_global_ids.size:
-            return None
-        if self._weights is None:
-            raise RuntimeError("call set_weights() before forward()")
-        total = None
-        for op_index, op in enumerate(self.ops):
-            column = self._weights[:, op_index].reshape(-1, 1)
-            if not column.requires_grad and not np.any(column.data):
-                continue  # inactive op under discrete constraints — skip
-            term = column * self._op_output(op_index, op)
-            total = term if total is None else total + term
-        if total is None:  # all weights zero (cannot happen with one-hot rows)
-            raise RuntimeError("no completion op active")
-        return total
+        return self._assemble(self._missing_blocks(),
+                              self.dataset.missing_global_ids.shape[0])
 
     def completed_rows(self, rows: np.ndarray) -> Optional[Tensor]:
-        """Mix per-row op outputs for the sampled V⁻ rows only.
+        """Completed attributes of the sampled V⁻ rows only.
 
-        Each active op contributes ``forward_rows(rows)``; weights are the
-        matching rows of the externally supplied weight matrix.  Ops whose
-        weight is zero on *these* rows are skipped, so discrete
-        constraints save the same work per batch they save full-graph.
+        Every op used by one of these rows contributes
+        ``forward_rows(rows)``; ops that no row uses are skipped, so
+        discrete constraints save the same work per batch they save
+        full-graph.
         """
-        if not self.dataset.missing_global_ids.size:
-            return None
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
+        return self._assemble(self._missing_blocks(rows), rows.shape[0])
+
+    @staticmethod
+    def _assemble(blocks: List[Tuple[Tensor, Optional[np.ndarray]]],
+                  num_rows: int) -> Optional[Tensor]:
+        """:meth:`_missing_blocks` as one ``(num_rows, hidden)`` tensor."""
+        if not blocks:
             return None
+        if blocks[0][1] is None:
+            return blocks[0][0]
+        return place_rows([values for values, _ in blocks],
+                          [at for _, at in blocks], num_rows)
+
+    def _missing_blocks(self, rows: Optional[np.ndarray] = None
+                        ) -> List[Tuple[Tensor, Optional[np.ndarray]]]:
+        """Per-op row blocks under one-hot weights, else the mixture."""
+        if not self.dataset.missing_global_ids.size:
+            return []
+        if rows is not None and rows.size == 0:
+            return []
         if self._weights is None:
             raise RuntimeError("call set_weights() before forward()")
-        weight_rows = gather_rows(self._weights, rows)
+        assignment = self._one_hot_assignment()
+        if assignment is None:
+            return [(self._mixture(rows), None)]
+        if rows is not None:
+            assignment = assignment[rows]
+        blocks = []
+        for op_index, op in enumerate(self.ops):
+            at = np.flatnonzero(assignment == op_index)
+            if at.size:
+                # the op runs on every row and its rows are gathered
+                # after: a product over fewer rows may round differently
+                blocks.append((gather_rows(self._op_rows(op_index, op, rows),
+                                           at), at))
+        return blocks
+
+    def _one_hot_assignment(self) -> Optional[np.ndarray]:
+        """Each row's op when the weights are a constant one-hot matrix
+        (no grad; every row a single 1 among zeros), else ``None``."""
+        if self._weights.requires_grad:
+            return None
+        weights = self._weights.data
+        assignment = weights.argmax(axis=1)
+        # every row holds a 1 and there are as many nonzeros as rows
+        if (np.count_nonzero(weights) != weights.shape[0]
+                or not np.all(weights[np.arange(weights.shape[0]),
+                                      assignment] == 1.0)):
+            return None
+        return assignment
+
+    def _op_rows(self, op_index: int, op: CompletionOp,
+                 rows: Optional[np.ndarray]) -> Tensor:
+        """The op's output on all V⁻ rows, or on ``rows`` only."""
+        if rows is None:
+            return self._op_output(op_index, op)
+        return op.forward_rows(rows)
+
+    def _mixture(self, rows: Optional[np.ndarray] = None) -> Tensor:
+        """``Σ_k w[:, k] * op_k``: the composite for weights that require
+        grad (the α step) or are fractional.  A constant all-zero
+        column's op is skipped."""
+        weights = (self._weights if rows is None
+                   else gather_rows(self._weights, rows))
         total = None
         for op_index, op in enumerate(self.ops):
-            column = weight_rows[:, op_index].reshape(-1, 1)
+            column = weights[:, op_index].reshape(-1, 1)
             if not column.requires_grad and not np.any(column.data):
                 continue
-            term = column * op.forward_rows(rows)
+            term = column * self._op_rows(op_index, op, rows)
             total = term if total is None else total + term
-        if total is None:
+        if total is None:  # all weights zero
             raise RuntimeError("no completion op active")
         return total
 

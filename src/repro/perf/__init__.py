@@ -14,7 +14,8 @@ Two orthogonal tools:
 """
 
 from .profiler import ProfileReport, Profiler, profile
-from .recording import current_commit, is_dirty_commit, merge_bench_rows
+from .recording import (current_commit, host_provenance, is_dirty_commit,
+                        merge_bench_rows)
 from .profiles import (
     RuntimeProfile,
     current_profile,
@@ -35,6 +36,7 @@ __all__ = [
     "ProfileReport",
     "profile",
     "current_commit",
+    "host_provenance",
     "is_dirty_commit",
     "merge_bench_rows",
 ]

@@ -7,7 +7,9 @@ total bytes of output allocated.  Backward closures report separately as
 ``"<op>.backward"``.  Composite ops (e.g. the unfused ``cross_entropy``)
 also record the primitives they call, so times are *inclusive* — the
 table answers "where does wall time pass through", not "exclusive
-self-time".
+self-time".  The session also counts the process's minor page faults
+and system CPU seconds (``getrusage`` deltas over the profiled scope):
+what allocations that go back to the kernel each step cost.
 
 Usage::
 
@@ -21,8 +23,9 @@ or via ``python -m repro profile`` / ``run_autoac(..., profile=True)``.
 from __future__ import annotations
 
 import contextlib
+import resource
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tensor import _profile
 
@@ -56,6 +59,10 @@ class ProfileReport:
     """Frozen snapshot of a profiling session, renderable as a table."""
 
     stats: List[OpStat] = field(default_factory=list)
+    #: minor page faults of the whole process over the profiled scope
+    minor_faults: int = 0
+    #: system (kernel) CPU seconds of the process over the profiled scope
+    system_seconds: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -81,9 +88,12 @@ class ProfileReport:
 
     def to_json(self) -> Dict:
         """The whole report as one JSON-able dict (``repro profile
-        --json``): totals plus the ranked per-op rows."""
+        --json``): totals, the scope's page faults and system time, and
+        the ranked per-op rows."""
         return {"total_seconds": self.total_seconds,
                 "total_calls": self.total_calls,
+                "minor_faults": self.minor_faults,
+                "system_seconds": self.system_seconds,
                 "ops": self.as_rows()}
 
     def publish(self, registry=None) -> None:
@@ -110,7 +120,8 @@ class ProfileReport:
             nbytes.inc(stat.bytes_allocated, op=stat.name)
 
     def render(self, limit: Optional[int] = 30) -> str:
-        """Fixed-width per-op table: calls, total ms, share, bytes."""
+        """Fixed-width per-op table: calls, total ms, share, bytes; a
+        footer line gives the scope's page faults and system time."""
         rows = self.top(limit)
         total = self.total_seconds or 1.0
         header = (f"{'op':<28} {'calls':>8} {'total ms':>10} "
@@ -125,6 +136,8 @@ class ProfileReport:
         lines.append(
             f"{'total (inclusive)':<28} {self.total_calls:>8} "
             f"{self.total_seconds * 1e3:>10.2f} {'':>7} {'':>12}")
+        lines.append(f"minor page faults {self.minor_faults:,}   "
+                     f"system CPU {self.system_seconds:.3f} s")
         return "\n".join(lines)
 
 
@@ -140,6 +153,9 @@ class Profiler:
         self._stats: Dict[str, OpStat] = {}
         self._previous = None
         self._active = False
+        self._faults = 0
+        self._system = 0.0
+        self._usage = None  # getrusage at entry while active
         #: when set, the session's per-op totals are published into this
         #: telemetry registry (``tensor_op_*``) on context-manager exit
         self.registry = registry
@@ -158,24 +174,41 @@ class Profiler:
             raise RuntimeError("Profiler is not reentrant")
         self._previous = _profile.set_hook(self._record)
         self._active = True
+        self._usage = resource.getrusage(resource.RUSAGE_SELF)
         return self
 
     def __exit__(self, *exc) -> None:
         _profile.set_hook(self._previous)
         self._previous = None
         self._active = False
+        self._faults, self._system = self._usage_so_far()
+        self._usage = None
         if self.registry is not None:
             self.report().publish(self.registry)
+
+    def _usage_so_far(self) -> Tuple[int, float]:
+        """``(minor faults, system seconds)`` collected, the running
+        scope's included."""
+        if self._usage is None:
+            return self._faults, self._system
+        now = resource.getrusage(resource.RUSAGE_SELF)
+        return (self._faults + now.ru_minflt - self._usage.ru_minflt,
+                self._system + now.ru_stime - self._usage.ru_stime)
 
     def reset(self) -> None:
         """Drop all collected statistics."""
         self._stats.clear()
+        self._faults, self._system = 0, 0.0
+        if self._usage is not None:
+            self._usage = resource.getrusage(resource.RUSAGE_SELF)
 
     def report(self) -> ProfileReport:
         """Snapshot the collected statistics."""
+        faults, system = self._usage_so_far()
         return ProfileReport([OpStat(s.name, s.calls, s.seconds,
                                      s.bytes_allocated)
-                              for s in self._stats.values()])
+                              for s in self._stats.values()],
+                             minor_faults=faults, system_seconds=system)
 
 
 @contextlib.contextmanager

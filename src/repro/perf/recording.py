@@ -19,10 +19,17 @@ stale duplicates:
   superseded, not history.
 
 Only moving to a *new clean commit* grows the trajectory.
+
+Each row also carries :func:`host_provenance` (usable cores, Python and
+numpy versions, ``REPRO_SCALE``), so two rows of one benchmark can be
+told apart by the host and scale they were measured at.  It is data,
+not part of the merge key.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import subprocess
 from pathlib import Path
 from typing import Dict, List, Sequence
@@ -51,6 +58,21 @@ def current_commit(repo_root) -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
+
+
+def host_provenance() -> Dict:
+    """Where a row was measured: ``cores`` (CPUs this process may run
+    on), ``python`` and ``numpy`` versions, and ``scale``
+    (``REPRO_SCALE``, ``None`` when unset)."""
+    import numpy
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count()
+    return {"cores": cores, "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scale": os.environ.get("REPRO_SCALE")}
 
 
 def merge_bench_rows(existing: Sequence[Dict],
@@ -85,5 +107,5 @@ def merge_bench_rows(existing: Sequence[Dict],
     return kept + fresh
 
 
-__all__ = ["DIRTY_SUFFIX", "current_commit", "is_dirty_commit",
-           "merge_bench_rows"]
+__all__ = ["DIRTY_SUFFIX", "current_commit", "host_provenance",
+           "is_dirty_commit", "merge_bench_rows"]

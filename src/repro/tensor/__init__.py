@@ -10,9 +10,14 @@ and a finite-difference gradient checker (:mod:`.gradcheck`).
 Differentiability note: sparse matrices are always *data* — gradients flow
 only through dense operands (and, for :func:`weighted_spmm`, through the
 per-edge value tensor); see :mod:`.sparse` for the full contract.
+
+Importing the package keeps the process's freed numpy temporaries on
+the heap instead of returning them to the kernel every step
+(:mod:`._heap`; glibc only).
 """
 
 from . import functional, init
+from ._heap import retain_heap
 from .dtype import get_default_dtype, is_fast_dtype, set_default_dtype
 from .functional import (
     AttentionLayout,
@@ -78,6 +83,8 @@ from .tensor import (
     tanh,
     where,
 )
+
+retain_heap()  # once per process: the package imports once
 
 __all__ = [
     "Tensor",

@@ -88,6 +88,10 @@ def scatter_accumulate(out: np.ndarray, index, grad: np.ndarray) -> None:
     buffer) with at least as many entries as rows, and a few hundred at
     least.  ``np.bincount`` adds each column in index order starting
     from ``+0.0``, the very sums ``np.add.at`` forms.
+
+    A row gather whose index repeats no row does not come here:
+    :func:`getitem`'s backward assigns ``grad + 0.0`` for strictly
+    increasing in-range rows, the sum every route above forms then.
     """
     n = out.shape[0] if out.ndim else 0
     fused = _flags.fused_enabled()
@@ -791,6 +795,16 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     return out
 
 
+def _increasing_rows(index, data: np.ndarray) -> bool:
+    """Whether ``index`` is a 1-D integer array of in-range rows of
+    ``data`` in strictly increasing order (so no row repeats)."""
+    return (isinstance(index, np.ndarray) and index.ndim == 1
+            and np.issubdtype(index.dtype, np.integer) and data.ndim >= 1
+            and (index.size == 0
+                 or (index[0] >= 0 and index[-1] < data.shape[0]
+                     and bool(np.all(index[1:] > index[:-1])))))
+
+
 @profiled
 def getitem(a: Tensor, index) -> Tensor:
     """Differentiable indexing supporting slices and integer arrays.
@@ -800,6 +814,13 @@ def getitem(a: Tensor, index) -> Tensor:
     indices wrap, out-of-range ones raise ``IndexError``), and on narrow
     rows about ten times faster than fancy indexing (0.02 vs 0.22 ms on
     a (10821, 4) float32 array).
+
+    When that index is strictly increasing and in range (a compact
+    layout's rows, an op's assigned rows), the backward assigns
+    ``grad + 0.0`` into zeros instead of scattering: with no repeated
+    row every scatter route adds each gradient to one ``+0.0``, and
+    ``g + 0.0`` is that sum bit for bit (``-0.0`` becomes ``+0.0``).
+    Any other index scatters through :func:`scatter_accumulate`.
     """
     a = ensure_tensor(a)
     if (isinstance(index, np.ndarray) and index.ndim == 1
@@ -811,7 +832,10 @@ def getitem(a: Tensor, index) -> Tensor:
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(a.data)
-            scatter_accumulate(full, index, grad)
+            if _increasing_rows(index, full):
+                full[index] = grad + 0.0
+            else:
+                scatter_accumulate(full, index, grad)
             a.accumulate_grad(full)
         out._rig((a,), backward)
     return out

@@ -8,11 +8,16 @@ benchmark, but kept while no clean measurement exists.
 """
 
 import json
+import os
+import platform
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 from repro.perf.recording import (
     current_commit,
+    host_provenance,
     is_dirty_commit,
     merge_bench_rows,
 )
@@ -111,6 +116,24 @@ class TestCommitStamp:
         assert current_commit(tmp_path) == "unknown"
 
 
+class TestHostProvenance:
+    def test_fields(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        host = host_provenance()
+        assert host == {"cores": len(os.sched_getaffinity(0)),
+                        "python": platform.python_version(),
+                        "numpy": np.__version__, "scale": "small"}
+        monkeypatch.delenv("REPRO_SCALE")
+        assert host_provenance()["scale"] is None
+        json.dumps(host)  # a row field: must serialize
+
+    def test_merge_key_ignores_host(self):
+        existing = [dict(row("qps", "abc1234", value=10.0),
+                         host={"cores": 2})]
+        fresh = [dict(row("qps", "abc1234", value=12.0), host={"cores": 8})]
+        assert merge_bench_rows(existing, fresh) == fresh
+
+
 class TestRecordingPolicy:
     """``record_benchmark`` flushes only the rows of tests that passed."""
 
@@ -147,3 +170,13 @@ def test_fails(record_benchmark):
         result.assert_outcomes(passed=1, failed=1)
         names = [entry["name"] for entry in json.loads(trajectory.read_text())]
         assert names == ["old", "kept"]
+
+    def test_rows_carry_host_provenance(self, pytester):
+        result, trajectory, _ = self._run(pytester, """
+def test_passes(record_benchmark):
+    record_benchmark("kept", 2.0, "x")
+""")
+        result.assert_outcomes(passed=1)
+        kept = json.loads(trajectory.read_text())[-1]
+        assert kept["name"] == "kept"
+        assert kept["host"] == host_provenance()

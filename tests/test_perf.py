@@ -26,6 +26,7 @@ from repro.tensor import (
     head_dot,
     segment_softmax,
 )
+from repro.perf.profiler import OpStat
 from repro.tensor.tensor import scatter_accumulate
 from repro.training import MiniBatchConfig
 
@@ -251,6 +252,84 @@ class TestProfiler:
         assert "dropout" in stats           # the call itself is counted
         assert "dropout.backward" not in stats
         assert "mul.backward" in stats      # upstream label preserved
+
+
+    @staticmethod
+    def _fault_pages(count: int = 2048) -> None:
+        """Touch ``count`` fresh pages: 1 MiB anonymous maps (too small
+        for a huge page), each written through once and unmapped."""
+        import mmap
+
+        for _ in range(count * mmap.PAGESIZE >> 20):
+            with mmap.mmap(-1, 1 << 20) as pages:
+                pages.write(b"x" * (1 << 20))
+
+    def test_counts_page_faults_and_system_time(self):
+        with Profiler() as prof:
+            self._fault_pages()
+        report = prof.report()
+        assert report.minor_faults >= 1000
+        assert report.system_seconds >= 0.0
+        assert prof.report().minor_faults == report.minor_faults  # closed
+        payload = report.to_json()
+        assert payload["minor_faults"] == report.minor_faults
+        assert payload["system_seconds"] == report.system_seconds
+        footer = report.render().splitlines()[-1]
+        assert footer.startswith("minor page faults")
+        assert f"{report.minor_faults:,}" in footer
+        # per-op stats keep their shape
+        assert all(isinstance(stat, OpStat) for stat in report.stats)
+
+    def test_open_session_reports_faults_so_far(self):
+        prof = Profiler().__enter__()
+        try:
+            self._fault_pages()
+            assert prof.report().minor_faults >= 1000
+            prof.reset()
+            assert prof.report().minor_faults < 1000
+        finally:
+            prof.__exit__(None, None, None)
+
+
+class TestRetainedHeap:
+    """Importing the engine keeps freed temporaries on the heap."""
+
+    CHURN = """
+import resource
+import numpy as np
+{setup}
+def churn():
+    # a step's five temporaries of 0.2-1.1 MB: live together, then freed
+    arrays = [np.ones(size // 8)
+              for size in (200_000, 450_000, 700_000, 900_000, 1_100_000)]
+    del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    @staticmethod
+    def _faults(setup: str) -> int:
+        import subprocess
+        import sys
+
+        out = subprocess.run(
+            [sys.executable, "-c", TestRetainedHeap.CHURN.format(setup=setup)],
+            capture_output=True, text=True, check=True)
+        return int(out.stdout.strip())
+
+    @pytest.mark.skipif(not hasattr(__import__("ctypes").CDLL(None), "mallopt"),
+                        reason="the C library exports no mallopt")
+    def test_engine_import_stops_fault_churn(self):
+        assert self._faults("import repro.tensor") < 1000
+
+    def test_retain_heap_reports_whether_it_applied(self):
+        import ctypes
+
+        from repro.tensor._heap import retain_heap
+        assert retain_heap() == hasattr(ctypes.CDLL(None), "mallopt")
 
 
 # ----------------------------------------------------------------------

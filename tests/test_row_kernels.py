@@ -1,10 +1,12 @@
 """Byte-for-byte parity of the row kernels that assemble ``h0``.
 
 ``place_rows`` replaces the builder's scatter-and-sum chain, the fused
-``l2_normalize`` replaces its five-node composite, and row gathers go
-through ``np.take`` instead of fancy indexing.  Each must reproduce the
-formulation it replaced bit for bit (the ``reference`` profile's
-figures depend on it), in float32 and float64.
+``l2_normalize`` replaces its five-node composite, row gathers go
+through ``np.take`` instead of fancy indexing, a gather by increasing
+unique rows backpropagates by assignment instead of a scatter, and
+one-hot completion weights place each op's rows instead of mixing.
+Each must reproduce the formulation it replaced bit for bit (the
+``reference`` profile's figures depend on it), in float32 and float64.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.completion import WeightedCompletionFeatures
+from repro.completion import (
+    FixedAssignmentFeatures,
+    SearchSpace,
+    WeightedCompletionFeatures,
+)
 from repro.graph.sampler import NeighborSampler
 from repro.perf import runtime_profile
 from repro.perf.profiler import profile
@@ -314,3 +320,180 @@ class TestTakeGathers:
         permuted = np.empty_like(values)
         permuted[layout.order] = values
         assert values[layout.inverse].tobytes() == permuted.tobytes()
+
+
+class TestGetitemBackward:
+    """``getitem``'s backward against ``np.add.at`` into zeros, for
+    every index kind; increasing unique rows take the assignment."""
+
+    INDICES = {
+        "sorted_unique": np.array([0, 2, 3, 7, 9]),
+        "unsorted_unique": np.array([7, 0, 3, 9, 2]),
+        "repeated": np.array([3, 0, 3, 9, 3]),
+        "negative": np.array([-1, -10, 4]),
+        "empty": np.array([], dtype=np.int64),
+        "single": np.array([5]),
+        "mask": np.array([True, False, True, True, False,
+                          False, True, False, False, True]),
+        "slice": slice(2, 8, 2),
+        "tuple": (slice(None), 2),
+    }
+
+    @pytest.mark.parametrize("profile_name", ["reference", "fast"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kind", list(INDICES))
+    def test_matches_add_at(self, profile_name, dtype, kind):
+        index = self.INDICES[kind]
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(10, 4))
+        with runtime_profile(profile_name), set_default_dtype(dtype):
+            # a non-leaf keeps the backward's array as it is (a leaf
+            # would add +0.0 to it), so the signs of zeros show
+            x = Tensor(data, requires_grad=True) * 1.0
+            out = x[index]
+            grad = rng.normal(size=out.shape).astype(dtype)
+            grad.reshape(-1)[::3] = -0.0
+            out._backward_fn(grad)
+        want = np.zeros(data.shape, dtype=dtype)
+        np.add.at(want, index, grad)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == want.tobytes()
+        assert not np.signbit(x.grad[x.grad == 0]).any()
+
+
+class TestOneHotPlacement:
+    """Constant one-hot weights place each op's rows; the result and
+    every gradient equal the mixture ``Σ_k w[:, k] * op_k`` bit for bit.
+    Weights that require grad, or fractional ones, take the mixture."""
+
+    HIDDEN = 8
+
+    @staticmethod
+    def _assignment(dataset, num_ops):
+        """Rows spread over every op but op 2, which gets none."""
+        rng = np.random.default_rng(10)
+        used = [op for op in range(num_ops) if op != 2]
+        return rng.choice(used, size=dataset.missing_global_ids.shape[0])
+
+    @staticmethod
+    def _mixture(features, rows=None):
+        """The composite the placement replaced, written out."""
+        weights = features._weights
+        if rows is not None:
+            weights = gather_rows(weights, rows)
+        total = None
+        for op_index, op in enumerate(features.ops):
+            column = weights[:, op_index].reshape(-1, 1)
+            if not column.requires_grad and not np.any(column.data):
+                continue
+            output = op() if rows is None else op.forward_rows(rows)
+            term = column * output
+            total = term if total is None else total + term
+        return total
+
+    def _h0_by_mixture(self, features, view=None):
+        blocks = features._projected(view)
+        if view is None:
+            num_rows = features.dataset.graph.num_nodes
+            ids, completed = (features.dataset.missing_global_ids,
+                              self._mixture(features))
+        else:
+            num_rows = view.num_nodes
+            ids, rows = features._view_missing(view)
+            completed = self._mixture(features, rows)
+        return place_rows([b for b, _ in blocks] + [completed],
+                          [i for _, i in blocks] + [ids], num_rows)
+
+    def _features(self, dataset):
+        return FixedAssignmentFeatures(
+            dataset, self.HIDDEN, self._assignment(dataset, len(SearchSpace())))
+
+    def _compare(self, features, view=None):
+        leaves = features.parameters()
+        num_rows = (features.dataset.graph.num_nodes if view is None
+                    else view.num_nodes)
+        weight = np.random.default_rng(11).normal(
+            size=(num_rows, self.HIDDEN))
+        weight[::4] = -0.0
+        want = _forward_backward(lambda: self._h0_by_mixture(features, view),
+                                 leaves, weight)
+        got = _forward_backward(lambda: features(view), leaves, weight)
+        _assert_same_bytes(got, want)
+        names = [name for name, _ in features.named_parameters()]
+        return dict(zip(names, got[1]))
+
+    @pytest.mark.parametrize("profile_name", ["reference", "fast"])
+    def test_full_graph(self, imdb_tiny, profile_name):
+        with runtime_profile(profile_name):
+            features = self._features(imdb_tiny)
+            grads = self._compare(features)
+        # the op with no rows gets no gradient; the others and the
+        # projector do, the one-hot table among them
+        assert all(grads[name] is None for name in grads
+                   if name.startswith("ops.2."))
+        assert grads["ops.3.table"] is not None
+        assert any(name.startswith("projector.") and grad is not None
+                   for name, grad in grads.items())
+
+    @pytest.mark.parametrize("profile_name", ["reference", "fast"])
+    def test_view(self, imdb_tiny, profile_name):
+        sampler = NeighborSampler(imdb_tiny.graph, fanout=3, num_layers=2,
+                                  seed=0)
+        seeds = imdb_tiny.graph.to_global(imdb_tiny.target_type,
+                                          np.arange(6))
+        view = sampler.sample(seeds)
+        with runtime_profile(profile_name):
+            features = self._features(imdb_tiny)
+            assert features._view_missing(view)[1].size
+            self._compare(features, view)
+
+    @pytest.mark.parametrize("profile_name", ["reference", "fast"])
+    def test_completed_and_completed_rows(self, imdb_tiny, profile_name):
+        rows = np.array([9, 1, 4, 4, 30, 2])
+        with runtime_profile(profile_name):
+            features = self._features(imdb_tiny)
+            for sampled in (None, rows):
+                if sampled is None:
+                    got, want = features.completed(), self._mixture(features)
+                else:
+                    got = features.completed_rows(sampled)
+                    want = self._mixture(features, sampled)
+                # the mixture may keep a -0.0 that placement makes +0.0
+                assert got.data.tobytes() == (want.data + 0.0).tobytes()
+
+    @pytest.mark.parametrize("profile_name", ["reference", "fast"])
+    def test_rigged_cache(self, imdb_tiny, profile_name):
+        with runtime_profile(profile_name):
+            features = self._features(imdb_tiny)
+            features.refresh_candidates()
+            with features.candidate_mode("rigged"):
+                self._compare(features)
+
+    def test_places_rows_without_mixing(self, imdb_tiny):
+        with runtime_profile("fast"):
+            features = self._features(imdb_tiny)
+            with profile() as prof:
+                features().sum().backward()
+        calls = {stat.name: stat.calls for stat in prof.report().stats}
+        assert calls["place_rows"] == 1
+        assert "mul" not in calls and "add" not in calls
+        assert calls["getitem"] == len(features.space) - 1  # one per used op
+
+    @pytest.mark.parametrize("weights_kind", ["requires_grad", "fractional"])
+    def test_other_weights_take_the_mixture(self, imdb_tiny, weights_kind):
+        features = self._features(imdb_tiny)
+        one_hot = features._weights.data.copy()
+        if weights_kind == "requires_grad":
+            weights = Tensor(one_hot, requires_grad=True)
+        else:
+            one_hot[0] = 1.0 / one_hot.shape[1]  # one row mixes every op
+            weights = Tensor(one_hot)
+        features.set_weights(weights)
+        self._compare(features)
+        with profile() as prof:
+            h0 = features()
+        calls = {stat.name: stat.calls for stat in prof.report().stats}
+        assert calls["mul"] >= len(features.space) - 1  # one per mixed op
+        if weights_kind == "requires_grad":
+            h0.sum().backward()
+            assert weights.grad is not None and np.any(weights.grad)

@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke perfbench-search search-digest profile report
+.PHONY: verify test bench benchmarks bench-smoke bench-scale tune-smoke serve-smoke serve-scale chaos-smoke perfbench-search search-digest table-digest profile report
 
 # Tier-1 verification (ROADMAP.md): the full test suite, fail-fast.
 verify:
@@ -82,6 +82,18 @@ BASE ?=
 search-digest:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/search_digest.py \
 		--scale $(SCALE) --model $(MODEL) $(if $(BASE),--base $(BASE))
+
+# Bit-identity check for the paper tables and figures: one SHA-1 per
+# repro.experiments driver (run as its benchmark runs it, tiny scale,
+# reference profile, BLAS on one thread) over its result and the runner
+# results behind it, timing keys removed, floats as hex.
+# ONLY=table2,figure4 restricts the drivers; BASE=<rev> also digests git
+# revision <rev>'s sources, prints both trees' lines side by side and
+# fails if any line differs.
+ONLY ?=
+table-digest:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/table_digest.py \
+		$(if $(ONLY),--only $(ONLY)) $(if $(BASE),--base $(BASE))
 
 # Static HTML report from the tune-smoke journal (docs/OBSERVABILITY.md).
 report:

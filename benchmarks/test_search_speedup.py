@@ -8,7 +8,8 @@ Not a paper table: this benchmark guards ``repro.perf``.  It runs the
   historical engine and the baseline of the paper's runtime claims
   (Table IV).
 * **fast** — float32, fused kernels (addmm, fused cross-entropy, fused
-  segment softmax, fused attention score/aggregate, bincount scatter).
+  segment softmax, fused attention score/aggregate).  Both profiles
+  scatter through the same exact CSR-transpose product.
 
 Both runs use the per-epoch search-loop candidate cache, which every
 search runs with (it leaves results bit-identical).

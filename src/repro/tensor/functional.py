@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import _flags
 from ._profile import profiled
 from .dtype import get_default_dtype
 from .random import get_rng, random_values
@@ -41,8 +40,8 @@ from .tensor import (
     is_grad_enabled,
     leaky_relu_data,
     leaky_relu_factor,
-    scatter_accumulate,
     scatter_add,
+    scatter_sum,
     unbroadcast,
 )
 
@@ -52,16 +51,21 @@ def _needs_grad(*tensors: Tensor) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Fused-kernel gate (state lives in ._flags, shared with .tensor)
+# Fused-kernel gate
 # ----------------------------------------------------------------------
+_FUSED = False
+
+
 def fused_kernels_enabled() -> bool:
     """Whether the fused fast-path kernels are active."""
-    return _flags.fused_enabled()
+    return _FUSED
 
 
 def set_fused_kernels(enabled: bool) -> bool:
     """Toggle the fused kernels; returns the previous setting."""
-    return _flags.set_fused(enabled)
+    global _FUSED
+    previous, _FUSED = _FUSED, bool(enabled)
+    return previous
 
 
 @contextlib.contextmanager
@@ -170,7 +174,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     """
     logits = ensure_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
-    if _flags.fused_enabled() and logits.ndim == 2:
+    if _FUSED and logits.ndim == 2:
         return _cross_entropy_fused(logits, targets, reduction)
     return _cross_entropy_composite(logits, targets, reduction)
 
@@ -217,7 +221,7 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     ``x`` is not 2-D (values match either way).
     """
     x, weight, bias = ensure_tensor(x), ensure_tensor(weight), ensure_tensor(bias)
-    if not _flags.fused_enabled() or x.ndim != 2:
+    if not _FUSED or x.ndim != 2:
         return x @ weight + bias
     out_data = np.matmul(x.data, weight.data)
     out_data += bias.data
@@ -300,7 +304,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     same bits); otherwise the composite of five primitives.
     """
     x = ensure_tensor(x)
-    if _flags.fused_enabled() and x.data.dtype == get_default_dtype():
+    if _FUSED and x.data.dtype == get_default_dtype():
         return _l2_normalize_fused(x, axis, eps)
     squared = (x * x).sum(axis=axis, keepdims=True)
     norm = (squared + eps) ** 0.5
@@ -367,23 +371,23 @@ def _segment_softmax_fused(scores: Tensor, segment_ids: np.ndarray,
     The composite records five nodes (sub, exp, scatter, gather, div) and
     keeps every intermediate alive until backward.  The fused backward is
     the closed form ``dL/ds_e = α_e (g_e − Σ_{e'∈seg(e)} α_{e'} g_{e'})``,
-    one scatter + one gather.
+    one scatter + one gather.  Both scatters are :func:`scatter_sum`, which
+    sums each segment in entry order as the composite's
+    :func:`scatter_add` does, so the denominators are the same bits.
     """
     shift = segment_max_data(scores.data, segment_ids, num_segments,
                              sorted_by)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     exp_scores = np.exp(scores.data - np.take(shift, segment_ids, axis=0))
-    denom = np.zeros((num_segments,) + exp_scores.shape[1:],
-                     dtype=exp_scores.dtype)
-    scatter_accumulate(denom, segment_ids, exp_scores)
+    denom = scatter_sum(exp_scores, segment_ids,
+                        (num_segments,) + exp_scores.shape[1:])
     out_data = exp_scores / (np.take(denom, segment_ids, axis=0) + 1e-16)
     out = Tensor(out_data, requires_grad=_needs_grad(scores))
     if out.requires_grad:
         def backward(grad: np.ndarray) -> None:
             weighted = out_data * grad
-            seg_dot = np.zeros((num_segments,) + weighted.shape[1:],
-                               dtype=weighted.dtype)
-            scatter_accumulate(seg_dot, segment_ids, weighted)
+            seg_dot = scatter_sum(weighted, segment_ids,
+                                  (num_segments,) + weighted.shape[1:])
             scores.accumulate_grad(
                 weighted - out_data * np.take(seg_dot, segment_ids, axis=0))
         out._rig((scores,), backward)
@@ -406,7 +410,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray,
     """
     scores = ensure_tensor(scores)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if _flags.fused_enabled():
+    if _FUSED:
         return _segment_softmax_fused(scores, segment_ids, num_segments,
                                       sorted_by)
     return _segment_softmax_composite(scores, segment_ids, num_segments,
@@ -518,9 +522,10 @@ def csr_attention(score_src: Tensor, score_dst: Tensor,
     replaces (gathers, adds, :func:`leaky_relu`, the fused
     :func:`segment_softmax`, the residual, :func:`dropout`, then a gather
     into pattern order): the same float operations, with per-destination
-    gathers as ``np.repeat`` and every scatter visiting a segment's
-    entries in edge order.  The dropout mask is drawn over ``(E, H)`` in
-    edge order, so every edge keeps its random number.
+    gathers as ``np.repeat`` and every scatter a :func:`scatter_sum`
+    that visits a segment's entries in edge order (``np.add.at``'s sums,
+    in either dtype).  The dropout mask is drawn over ``(E, H)`` in edge
+    order, so every edge keeps its random number.
 
     On a compact :meth:`AttentionLayout.restrict`-ed layout
     ``score_src`` has one row per pattern column and ``score_dst`` one
@@ -549,8 +554,7 @@ def csr_attention(score_src: Tensor, score_dst: Tensor,
         seg_max = np.maximum.reduceat(act, layout.starts, axis=0)
         shift[layout.filled] = np.where(np.isfinite(seg_max), seg_max, 0.0)
     exp_scores = np.exp(act - np.repeat(shift, counts, axis=0))
-    denom = np.zeros(score_dst.shape, dtype=exp_scores.dtype)
-    scatter_accumulate(denom, dst, exp_scores)
+    denom = scatter_sum(exp_scores, dst, score_dst.shape)
     soft = exp_scores / (np.repeat(denom, counts, axis=0) + 1e-16)
 
     alpha = soft
@@ -581,25 +585,22 @@ def csr_attention(score_src: Tensor, score_dst: Tensor,
                     alpha_prev.accumulate_grad(grad * prev_w)
                 grad = grad * keep_w
             weighted = soft * grad
-            seg_dot = np.zeros(score_dst.shape, dtype=weighted.dtype)
-            scatter_accumulate(seg_dot, dst, weighted)
+            seg_dot = scatter_sum(weighted, dst, score_dst.shape)
             g_logits = (weighted - soft * np.repeat(seg_dot, counts, axis=0)) \
                 * leaky_relu_factor(positive, negative_slope)
             # the derivative factor is float64, as in leaky_relu's
             # backward; accumulate_grad casts the product back the same way
             g_logits = g_logits.astype(logits.dtype, copy=False)
             if score_dst.requires_grad:
-                g_dst = np.zeros_like(score_dst.data)
-                scatter_accumulate(g_dst, dst, g_logits)
-                score_dst.accumulate_grad(g_dst)
+                score_dst.accumulate_grad(scatter_sum(
+                    g_logits, dst, score_dst.shape, score_dst.dtype))
             # the source and type gradients sum in edge order
             per_edge = np.take(g_logits, layout.inverse, axis=0)
             for scores, index in ((score_src, layout.src),
                                   (type_score, layout.etype)):
                 if scores is not None and scores.requires_grad:
-                    full = np.zeros_like(scores.data)
-                    scatter_accumulate(full, index, per_edge)
-                    scores.accumulate_grad(full)
+                    scores.accumulate_grad(scatter_sum(
+                        per_edge, index, scores.shape, scores.dtype))
         out._rig(parents, backward)
     return out
 
@@ -616,7 +617,7 @@ def head_dot(x: Tensor, vec: Tensor) -> Tensor:
     composite when the fused kernels are off (identical values).
     """
     x, vec = ensure_tensor(x), ensure_tensor(vec)
-    if not _flags.fused_enabled() or x.ndim != 3 or vec.ndim != 2:
+    if not _FUSED or x.ndim != 3 or vec.ndim != 2:
         return (x * vec).sum(axis=-1)
     out = Tensor(np.einsum("nhd,hd->nh", x.data, vec.data),
                  requires_grad=_needs_grad(x, vec))

@@ -27,7 +27,7 @@ from repro.tensor import (
     segment_softmax,
 )
 from repro.perf.profiler import OpStat
-from repro.tensor.tensor import scatter_accumulate
+from repro.tensor.tensor import scatter_sum
 from repro.training import MiniBatchConfig
 
 
@@ -126,55 +126,108 @@ class TestFusedEquivalence:
         np.testing.assert_allclose(composite.data, fused.data,
                                    rtol=1e-12, atol=1e-14)
 
-    def test_scatter_accumulate_fast_path_matches_add_at(self):
-        rng = np.random.default_rng(0)
-        index = rng.integers(0, 50, size=400)
-        for trailing in ((), (3,), (4, 5)):  # 1-D, narrow, wide
-            grad = rng.normal(size=(400,) + trailing)
-            reference = np.zeros((50,) + trailing)
-            np.add.at(reference, index, grad)
-            fast = np.zeros((50,) + trailing)
-            with fused_kernels():
-                scatter_accumulate(fast, index, grad)
-            np.testing.assert_allclose(reference, fast, rtol=1e-10,
-                                       atol=1e-12)
 
-    def test_scatter_accumulate_broadcastable_grad_falls_back(self):
-        # np.add.at broadcasts grad against out[index]; the fast path must
-        # not crash on those shapes — it falls back to the reference
-        index = np.array([0, 1, 1, 2])
-        grad = np.ones((4, 1))
-        reference = np.zeros((3, 5))
-        np.add.at(reference, index, grad)
-        fast = np.zeros((3, 5))
-        with fused_kernels():
-            scatter_accumulate(fast, index, grad)
-        np.testing.assert_array_equal(reference, fast)
+# ----------------------------------------------------------------------
+# scatter_sum: np.add.at into zeros, byte for byte
+# ----------------------------------------------------------------------
+def _add_at(values, index, shape, dtype=None):
+    out = np.zeros(shape, dtype=values.dtype if dtype is None else dtype)
+    np.add.at(out, index, values)
+    return out
 
-    def test_scatter_accumulate_reference_is_bitwise_add_at(self):
-        # the unfused bincount route must form np.add.at's exact sums,
-        # signed zeros included; a non-zero or short target, too few
-        # entries or an out-of-range index go through np.add.at itself
+
+def _same_bits(a, b):
+    """Byte-equal arrays, NaNs compared as NaNs: when two NaNs meet, IEEE
+    754 leaves the sign of the sum open, and numpy's own 1-D and N-D
+    ``np.add.at`` loops keep different ones."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    canonical = [np.where(np.isnan(x), np.nan, x).astype(x.dtype)
+                 for x in (a, b)]
+    assert canonical[0].tobytes() == canonical[1].tobytes()
+
+
+#: index kinds, each drawn for ``n`` output rows
+_SCATTER_INDICES = {
+    "repeated": lambda rng, n: rng.integers(0, n, size=8 * n),
+    "unsorted_unique": lambda rng, n: rng.permutation(n),
+    "sorted": lambda rng, n: np.sort(rng.integers(0, n, size=3 * n)),
+    "empty": lambda rng, n: np.zeros(0, dtype=np.int64),
+    "single": lambda rng, n: np.array([n - 1]),
+    "fewer_than_rows": lambda rng, n: rng.integers(0, n, size=n // 3),
+}
+
+
+class TestScatterSum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_bitwise_add_at(self, dtype):
+        # every width and index kind forms np.add.at's sums in the values'
+        # own dtype, specials included; a float64 accumulator rounds
+        # float32 sums differently and fails here
+        rng = np.random.default_rng(7)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, tiny,
+                             -3 * tiny], dtype=dtype)
+        for kind, draw in _SCATTER_INDICES.items():
+            for trailing in ((), (1,), (4,), (4, 5), (64,)):
+                for trial in range(3):
+                    n = 30
+                    index = draw(rng, n)
+                    values = (rng.normal(size=index.shape + trailing)
+                              * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+                    flat = values.reshape(-1)
+                    if trial and flat.size:
+                        hit = rng.integers(0, flat.size,
+                                           size=max(1, flat.size // 8))
+                        flat[hit] = rng.choice(specials, size=hit.size)
+                    shape = (n,) + trailing
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        expected = _add_at(values, index, shape)
+                        got = scatter_sum(values, index, shape)
+                    _same_bits(got, expected)
+
+    def test_sums_start_from_positive_zero(self):
+        values = np.full((4, 3), -0.0)
+        got = scatter_sum(values, np.array([0, 0, 2, 2]), (3, 3))
+        assert not np.signbit(got).any()
+
+    def test_negative_indices_wrap(self):
         rng = np.random.default_rng(1)
-        index = rng.integers(0, 50, size=400)
-        for trailing in ((), (3,), (4, 5), (1, 6)):
-            grad = rng.normal(size=(400,) + trailing)
-            grad[::7] = 0.0
-            grad[::11] = -0.0
-            for start in (0.0, -0.0, 1.5):
-                reference = np.full((50,) + trailing, start)
-                np.add.at(reference, index, grad)
-                out = np.full((50,) + trailing, start)
-                scatter_accumulate(out, index, grad)
-                assert out.tobytes() == reference.tobytes()
-        short = np.zeros((500, 3))
-        reference = short.copy()
-        grad = rng.normal(size=(400, 3))
-        np.add.at(reference, index, grad)
-        scatter_accumulate(short, index, grad)
-        assert short.tobytes() == reference.tobytes()
-        with pytest.raises(IndexError):
-            scatter_accumulate(np.zeros((10, 3)), index, grad)
+        index = rng.integers(-50, 50, size=400)
+        for trailing in ((), (3,), (4, 5)):
+            values = rng.normal(size=(400,) + trailing)
+            shape = (50,) + trailing
+            _same_bits(scatter_sum(values, index, shape),
+                       _add_at(values, index, shape))
+
+    def test_masks_slices_and_tuples(self):
+        values = np.arange(12.0).reshape(4, 3)
+        mask = np.array([True, False, True, True, False, True])
+        for index, part in ((mask, values),
+                            (slice(1, 5), values),
+                            ((np.array([0, 2, 2]), np.array([1, 0, 1])),
+                             values[:3, 0])):
+            _same_bits(scatter_sum(part, index, (6, 3)),
+                       _add_at(part, index, (6, 3)))
+
+    def test_broadcastable_values_take_add_at(self):
+        # np.add.at broadcasts values against out[index]
+        index = np.array([0, 1, 1, 2])
+        values = np.ones((4, 1))
+        _same_bits(scatter_sum(values, index, (3, 5)),
+                   _add_at(values, index, (3, 5)))
+
+    def test_dtype_mismatch_casts_like_add_at(self):
+        index = np.array([0, 1, 1, 2])
+        values = np.random.default_rng(2).normal(size=(4, 3))
+        got = scatter_sum(values, index, (3, 3), np.float32)
+        _same_bits(got, _add_at(values, index, (3, 3), np.float32))
+
+    def test_out_of_range_raises_index_error(self):
+        values = np.ones((3, 2))
+        for index in (np.array([0, 1, 10]), np.array([0, -11, 1])):
+            with pytest.raises(IndexError):
+                scatter_sum(values, index, (10, 2))
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Not a paper table: this benchmark guards ``repro.perf``.  It runs the
   segment softmax, fused attention score/aggregate).  Both profiles
   scatter through the same exact CSR-transpose product.
 
-Both runs use the per-epoch search-loop candidate cache, which every
-search runs with (it leaves results bit-identical).
+In both runs the completion ops keep their outputs between the passes
+of a search epoch, as in every search (results are bit-identical to
+recomputing them).
 
 Asserted floors: the fast profile finishes the same number of epochs
 **≥ 2× faster** while landing within a small tolerance of the reference

@@ -9,8 +9,9 @@ five-op space.
 
 Run:  python examples/custom_completion_op.py [--scale tiny|small]
 
-The extension points used here (``register_op``, ``SearchSpace``, and the
-model registry) are documented in ``docs/EXTENDING.md``.
+The extension points used here (``PropagatedCompletion``, ``register_op``,
+``SearchSpace``, and the model registry) are documented in
+``docs/EXTENDING.md``.
 """
 
 from __future__ import annotations
@@ -20,19 +21,24 @@ import argparse
 import numpy as np
 
 from repro.completion import (
-    CompletionOp,
+    PropagatedCompletion,
     SearchSpace,
     available_ops,
     register_op,
 )
 from repro.core import AutoACConfig, run_autoac
 from repro.datasets import get_dataset
-from repro.tensor import Parameter, SparseTensor, Tensor, init
+from repro.tensor import Parameter, SparseTensor, get_default_dtype, init
 from repro.training import TrainConfig, set_seed
 
 
-class TwoHopMeanCompletion(CompletionOp):
-    """Average the attributes of attributed nodes exactly two hops away."""
+class TwoHopMeanCompletion(PropagatedCompletion):
+    """Average the attributes of attributed nodes exactly two hops away.
+
+    The op is ``base @ W`` with a constant ``base``, so it only builds
+    ``_base`` and ``weight``: ``PropagatedCompletion`` supplies the forward
+    (which keeps its output while ``W`` is unchanged) and ``forward_rows``.
+    """
 
     name = "two_hop_mean"
 
@@ -52,12 +58,10 @@ class TwoHopMeanCompletion(CompletionOp):
         operator = (SparseTensor.from_scipy(two_hop)
                     .restrict_columns(mask)
                     .row_normalize())
-        self._base = operator.matmul_data(raw)[self.missing_ids]
+        self._base = (operator.matmul_data(raw)[self.missing_ids]
+                      .astype(get_default_dtype(), copy=False))
         self.weight = Parameter(init.xavier_uniform((raw.shape[1], hidden_dim)),
                                 name="weight")
-
-    def forward(self) -> Tensor:
-        return Tensor(self._base) @ self.weight
 
 
 def main() -> None:

@@ -3,7 +3,6 @@
 from .base import CompletionOp
 from .mixture import (
     AttributeProjector,
-    CandidateCache,
     FeatureBuilder,
     FixedAssignmentFeatures,
     HandcraftedFeatures,
@@ -37,7 +36,6 @@ __all__ = [
     "build_op",
     "DEFAULT_SPACE",
     "AttributeProjector",
-    "CandidateCache",
     "PropagatedCompletion",
     "FeatureBuilder",
     "HandcraftedFeatures",

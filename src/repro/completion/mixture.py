@@ -16,9 +16,7 @@ completion policy.  Builders provided here:
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,11 +30,10 @@ from ..tensor import (
     Tensor,
     gather_rows,
     get_default_dtype,
-    is_grad_enabled,
     no_grad,
     place_rows,
 )
-from .base import CompletionOp
+from .base import CompletionOp, ConstantProduct
 from .ops import OneHotCompletion
 from .space import SearchSpace
 
@@ -62,6 +59,9 @@ class AttributeProjector(Module):
                                   dtype=get_default_dtype())
             for node_type in dataset.attributed_types
         }
+        # full-graph blocks: kept while each projection keeps its bits
+        self._products = {node_type: ConstantProduct()
+                          for node_type in dataset.attributed_types}
 
     def forward(self, view: Optional[GraphView] = None) -> List[Block]:
         """Project every attributed type into ``(rows, ids)`` blocks.
@@ -70,50 +70,27 @@ class AttributeProjector(Module):
         graph, view-local ids for a :class:`~repro.graph.GraphView` (only
         the view's attributed members are gathered and projected, so
         every block is view-sized).  :class:`FeatureBuilder` places the
-        blocks; V⁻ rows are not in any of them.
+        blocks; V⁻ rows are not in any of them.  A full-graph block is a
+        :class:`~repro.completion.base.ConstantProduct`, reused while its
+        projection keeps its bits.
         """
         blocks = []
         for node_type in self.dataset.attributed_types:
+            linear = self.projections[node_type]
             if view is None:
-                raw = self._raw[node_type]
+                block = self._products[node_type](
+                    self._raw[node_type], linear.weight, linear.bias)
                 ids = self.dataset.graph.global_ids(node_type)
             else:
                 ids, parent_local = view.type_members(node_type)
                 if ids.size == 0:
                     continue
-                raw = np.take(self._raw[node_type], parent_local, axis=0)
-            blocks.append((self.projections[node_type](Tensor(raw)), ids))
+                block = linear(Tensor(np.take(self._raw[node_type],
+                                              parent_local, axis=0)))
+            blocks.append((block, ids))
         if view is None and not blocks:
             raise ValueError("dataset has no attributed node types")
         return blocks
-
-    def forward_from_cache(self, values: Sequence[np.ndarray]) -> List[Block]:
-        """Full-graph blocks from captured values; rig the live backward.
-
-        ``values`` are the block values of an earlier :meth:`forward`,
-        valid while no projection weight has changed.  Each block's
-        backward issues the Linear adjoints the live block would, so
-        gradients are bit-identical to a recomputation; a frozen
-        projection gets no gradient, as on the live path.
-        """
-        blocks = []
-        for node_type, value in zip(self.dataset.attributed_types, values):
-            linear = self.projections[node_type]
-            params = tuple(p for p in (linear.weight, linear.bias)
-                           if p is not None and p.requires_grad)
-            out = Tensor(value,
-                         requires_grad=is_grad_enabled() and bool(params))
-            if out.requires_grad:
-                def backward(grad: np.ndarray, linear=linear,
-                             raw=self._raw[node_type]) -> None:
-                    if linear.weight.requires_grad:
-                        linear.weight.accumulate_grad(np.matmul(raw.T, grad))
-                    if linear.bias is not None and linear.bias.requires_grad:
-                        linear.bias.accumulate_grad(grad.sum(axis=0))
-                out._rig(params, backward)
-            blocks.append((out, self.dataset.graph.global_ids(node_type)))
-        return blocks
-
 
 class FeatureBuilder(Module):
     """Base: produce the global initial embedding ``h0`` of shape (N, hidden)."""
@@ -166,16 +143,12 @@ class FeatureBuilder(Module):
             return positions, rows_all[positions]
         return view.cached(("missing_rows", id(self.dataset)), build)
 
-    def _projected(self, view: Optional[GraphView] = None) -> List[Block]:
-        """The projected-V⁺ blocks of ``h0`` (overridable hook)."""
-        return self.projector(view)
-
     def forward(self, view: Optional[GraphView] = None) -> Tensor:
         """``h0``: the projected V⁺ blocks and the completed V⁻ blocks
         (:meth:`_missing_blocks`), placed by one
         :func:`~repro.tensor.place_rows` node (node types partition the
         rows)."""
-        blocks = self._projected(view)
+        blocks = self.projector(view)
         if view is None:
             n = self.dataset.graph.num_nodes
             targets = self.dataset.missing_global_ids
@@ -235,21 +208,6 @@ class SingleOpFeatures(FeatureBuilder):
         return self.op.forward_rows(rows)
 
 
-@dataclass
-class CandidateCache:
-    """Per-epoch snapshot of the search's completion candidates.
-
-    ``projector`` holds the projected-V⁺ blocks (one per attributed
-    type), ``ops`` the output of every candidate completion op, all
-    captured at one parameter state.  The searcher owns the lifecycle:
-    populate once per epoch, invalidate on every ``w`` update and cluster
-    refresh.
-    """
-
-    projector: List[np.ndarray]
-    ops: List[np.ndarray]
-
-
 class WeightedCompletionFeatures(FeatureBuilder):
     """Mix all candidate ops with per-node weights ``(num_missing, |O|)``.
 
@@ -265,20 +223,12 @@ class WeightedCompletionFeatures(FeatureBuilder):
     ``Σ_k w[:, k] * op_k``; there a constant all-zero column is skipped.
     Both give the same ``h0`` and gradients bit for bit.
 
-    Candidate cache: within one search epoch the op outputs and the
-    projected V⁺ block are identical across the upper step, the lower
-    step and the validation pass (only the mixing weights differ), so
-    :class:`~repro.core.search.AutoACSearcher` snapshots them via
-    :meth:`refresh_candidates` and replays them in one of two modes set
-    through :meth:`candidate_mode`:
-
-    * ``"detached"`` — candidates enter the graph as constants.  Correct
-      whenever gradients w.r.t. the completion/projection parameters are
-      not consumed (the upper alpha step discards them; validation runs
-      under ``no_grad``).
-    * ``"rigged"`` — forward values are reused but each op/projector
-      rigs its live backward, so the lower ``w`` step gets bit-identical
-      gradients while skipping every candidate forward matmul.
+    Within one search epoch the upper step, the lower step and the
+    validation pass read the same op outputs and projected V⁺ blocks
+    (only the mixing weights differ); each op and projection keeps its
+    output while its parameters keep their bits
+    (:class:`~repro.completion.base.ConstantProduct`), so the epoch
+    multiplies once.
     """
 
     def __init__(self, dataset: HeteroDataset, hidden_dim: int,
@@ -287,8 +237,6 @@ class WeightedCompletionFeatures(FeatureBuilder):
         self.space = space or SearchSpace()
         self.ops: ModuleList = self.space.build_ops(dataset, hidden_dim)
         self._weights: Optional[Tensor] = None
-        self._candidates: Optional[CandidateCache] = None
-        self._candidate_mode: Optional[str] = None
 
     def set_weights(self, weights: Tensor) -> None:
         """Set the per-node op weights used by the next forward pass."""
@@ -298,58 +246,13 @@ class WeightedCompletionFeatures(FeatureBuilder):
                              f"got {tuple(weights.shape)}")
         self._weights = weights
 
-    # ------------------------------------------------------------------
-    # candidate cache (driven by the searcher)
-    # ------------------------------------------------------------------
-    def has_candidates(self) -> bool:
-        """Whether a candidate snapshot is currently stored."""
-        return self._candidates is not None
-
-    def refresh_candidates(self) -> CandidateCache:
-        """Snapshot projector + per-op outputs at the current parameters."""
+    def refresh_candidates(self) -> None:
+        """Compute every candidate (projected V⁺ blocks and op outputs) at
+        the current parameters; each keeps its output for the next pass."""
         with no_grad():
-            self._candidates = CandidateCache(
-                projector=[block.data for block, _ in self.projector()],
-                ops=[op().data for op in self.ops])
-        return self._candidates
-
-    def invalidate_candidates(self) -> None:
-        """Drop the snapshot (parameters or clusters changed)."""
-        self._candidates = None
-
-    @contextlib.contextmanager
-    def candidate_mode(self, mode: Optional[str]):
-        """Scoped replay mode: ``None`` (live), ``"detached"`` or ``"rigged"``."""
-        if mode not in (None, "detached", "rigged"):
-            raise ValueError(f"unknown candidate mode {mode!r}")
-        previous = self._candidate_mode
-        self._candidate_mode = mode
-        try:
-            yield
-        finally:
-            self._candidate_mode = previous
-
-    def _op_output(self, op_index: int, op: CompletionOp) -> Tensor:
-        cache = self._candidates
-        mode = self._candidate_mode
-        if cache is None or mode is None:
-            return op()
-        if mode == "detached":
-            return Tensor(cache.ops[op_index])
-        return op.forward_from_cache(cache.ops[op_index])
-
-    def _projected(self, view: Optional[GraphView] = None) -> List[Block]:
-        if view is not None:  # the candidate cache is a full-graph construct
-            return self.projector(view)
-        cache = self._candidates
-        mode = self._candidate_mode
-        if cache is not None and mode == "detached":
-            types = self.dataset.attributed_types
-            return [(Tensor(value), self.dataset.graph.global_ids(node_type))
-                    for node_type, value in zip(types, cache.projector)]
-        if cache is not None and mode == "rigged":
-            return self.projector.forward_from_cache(cache.projector)
-        return self.projector()
+            self.projector()
+            for op in self.ops:
+                op()
 
     def completed(self) -> Optional[Tensor]:
         return self._assemble(self._missing_blocks(),
@@ -397,8 +300,8 @@ class WeightedCompletionFeatures(FeatureBuilder):
             if at.size:
                 # the op runs on every row and its rows are gathered
                 # after: a product over fewer rows may round differently
-                blocks.append((gather_rows(self._op_rows(op_index, op, rows),
-                                           at), at))
+                blocks.append((gather_rows(self._op_rows(op, rows), at),
+                               at))
         return blocks
 
     def _one_hot_assignment(self) -> Optional[np.ndarray]:
@@ -415,12 +318,10 @@ class WeightedCompletionFeatures(FeatureBuilder):
             return None
         return assignment
 
-    def _op_rows(self, op_index: int, op: CompletionOp,
-                 rows: Optional[np.ndarray]) -> Tensor:
+    @staticmethod
+    def _op_rows(op: CompletionOp, rows: Optional[np.ndarray]) -> Tensor:
         """The op's output on all V⁻ rows, or on ``rows`` only."""
-        if rows is None:
-            return self._op_output(op_index, op)
-        return op.forward_rows(rows)
+        return op() if rows is None else op.forward_rows(rows)
 
     def _mixture(self, rows: Optional[np.ndarray] = None) -> Tensor:
         """``Σ_k w[:, k] * op_k``: the composite for weights that require
@@ -433,7 +334,7 @@ class WeightedCompletionFeatures(FeatureBuilder):
             column = weights[:, op_index].reshape(-1, 1)
             if not column.requires_grad and not np.any(column.data):
                 continue
-            term = column * self._op_rows(op_index, op, rows)
+            term = column * self._op_rows(op, rows)
             total = term if total is None else total + term
         if total is None:  # all weights zero
             raise RuntimeError("no completion op active")

@@ -19,15 +19,13 @@ product ``P X`` runs through compiled CSR×dense kernels.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .. import graph as G
 from ..datasets import HeteroDataset
 from ..tensor import (Parameter, SparseTensor, Tensor, gather_rows,
-                      get_default_dtype, init, is_grad_enabled)
-from .base import CompletionOp
+                      get_default_dtype, init)
+from .base import CompletionOp, ConstantProduct
 
 
 def _attributed_mask(dataset: HeteroDataset) -> np.ndarray:
@@ -54,22 +52,25 @@ def _propagate(operator: SparseTensor, features: np.ndarray) -> np.ndarray:
 
 
 class PropagatedCompletion(CompletionOp):
-    """Shared machinery for ops of the form ``Tensor(_base) @ weight``.
+    """Shared machinery for ops of the form ``base @ weight``.
 
     Subclasses precompute the constant propagated block ``self._base``
-    (``(num_missing, raw_dim)``) in their constructor and register
-    ``self.weight``.  Besides the plain forward this provides
-    :meth:`forward_from_cache`, which reuses a captured output value and
-    rigs only the backward (``dL/dW = base.T @ grad`` — the exact same
-    BLAS call the live matmul backward issues), so the search loop can
-    skip the forward matmul when the weights haven't changed.
+    (``(num_missing, raw_dim)``, in the engine dtype) in their
+    constructor and register ``self.weight``.  The forward is a
+    :class:`~repro.completion.base.ConstantProduct`: it keeps its output
+    and reuses it while ``weight`` keeps its bits, so the passes of one
+    search epoch (α step, ``w`` step, validation) multiply once.
     """
 
     _base: np.ndarray
     weight: Parameter
 
+    def __init__(self, dataset: HeteroDataset, hidden_dim: int) -> None:
+        super().__init__(dataset, hidden_dim)
+        self._product = ConstantProduct()
+
     def forward(self) -> Tensor:
-        return Tensor(self._base) @ self.weight
+        return self._product(self._base, self.weight)
 
     def forward_rows(self, rows: np.ndarray) -> Tensor:
         """``base[rows] @ W`` — per-row completion for the sampled path.
@@ -80,19 +81,6 @@ class PropagatedCompletion(CompletionOp):
         """
         rows = np.asarray(rows, dtype=np.int64)
         return Tensor(self._base[rows]) @ self.weight
-
-    def forward_from_cache(self, value: Optional[np.ndarray]) -> Tensor:
-        if value is None:
-            return self.forward()
-        weight = self.weight
-        out = Tensor(value,
-                     requires_grad=is_grad_enabled() and weight.requires_grad)
-        if out.requires_grad:
-            base = self._base
-            def backward(grad: np.ndarray) -> None:
-                weight.accumulate_grad(np.matmul(base.T, grad))
-            out._rig((weight,), backward)
-        return out
 
 
 class MeanCompletion(PropagatedCompletion):

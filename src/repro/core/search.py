@@ -131,14 +131,6 @@ class AutoACSearcher:
         self.w_optimizer = Adam(w_params, lr=cfg.w_lr,
                                 weight_decay=cfg.w_weight_decay)
 
-        # candidate cache --------------------------------------------------
-        # Per-epoch reuse of the completion candidates (projector output +
-        # per-op completions) across the upper step, lower step and
-        # validation pass; see WeightedCompletionFeatures.candidate_mode.
-        # The unrolled mixture ablation differentiates the candidate
-        # forwards w.r.t. w in its upper step, so caching is unsound there.
-        self.use_candidate_cache = cfg.discrete or not cfg.unrolled
-
         # kept validation graph ------------------------------------------
         # In discrete mode the next upper step's val_loss forward repeats
         # the end-of-epoch validation forward bit for bit (same w, same
@@ -200,21 +192,6 @@ class AutoACSearcher:
             requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
-    # candidate-cache plumbing
-    # ------------------------------------------------------------------
-    def _candidate_mode(self, mode: str):
-        """Enter a cached-replay mode, populating the snapshot if needed."""
-        if not self.use_candidate_cache:
-            return self.features.candidate_mode(None)
-        if not self.features.has_candidates():
-            self.features.refresh_candidates()
-        return self.features.candidate_mode(mode)
-
-    def _invalidate_candidates(self) -> None:
-        if self.use_candidate_cache:
-            self.features.invalidate_candidates()
-
-    # ------------------------------------------------------------------
     # upper level
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -246,9 +223,7 @@ class AutoACSearcher:
         with grad on alpha-bar only."""
         bar_alpha = self._current_discrete_rows(requires_grad=True)
         self._set_node_weights(bar_alpha)
-        # detached candidates: w is a constant of this step, so the cached
-        # op outputs enter the graph as constants
-        with self._candidate_mode("detached"), self._alpha_only_pass():
+        with self._alpha_only_pass():
             loss = self.adapter.val_loss(self.model, self.features)
         return loss, bar_alpha
 
@@ -272,8 +247,7 @@ class AutoACSearcher:
             self.mixture.logits.zero_grad()
             self._set_node_weights(self.mixture.weights())
             with self._alpha_only_pass():
-                with self._candidate_mode("detached"):
-                    loss = self.adapter.val_loss(self.model, self.features)
+                loss = self.adapter.val_loss(self.model, self.features)
                 if loss.requires_grad:
                     loss.backward()
             self.alpha_optimizer.step()
@@ -341,10 +315,10 @@ class AutoACSearcher:
 
         The gradient of the batch cross-entropy is an unbiased estimate
         of the full train loss gradient (uniform seed batches); the
-        modularity term is evaluated on the sampled sub-adjacency.  The
-        per-epoch candidate cache is bypassed — a view computes its own
-        handful of completion rows directly — but still invalidated, so
-        the (full-graph) upper step never replays stale candidates.
+        modularity term is evaluated on the sampled sub-adjacency.  A
+        view computes its own handful of completion rows directly; the
+        full-graph candidates are computed after the step, for the
+        validation pass and the next upper step.
         """
         cfg = self.config
         mb = cfg.minibatch
@@ -383,7 +357,7 @@ class AutoACSearcher:
             self._last_h0 = self._h0_buffer
         loss.backward()
         self.w_optimizer.step()
-        self._invalidate_candidates()  # w changed: snapshot is stale
+        self.features.refresh_candidates()  # at the stepped w
         if not cfg.discrete:
             self.mixture.logits.zero_grad()
         return record
@@ -397,18 +371,13 @@ class AutoACSearcher:
         else:
             self._set_node_weights(self.mixture.weights())
         self.w_optimizer.zero_grad()
-        # rigged candidates: forward values are replayed from the epoch
-        # snapshot while every op/projector rigs its live backward, so the
-        # w update sees bit-identical gradients without recomputing the
-        # candidate matmuls.  Under the fused kernels the loss and the
-        # cluster head share one h0, so their gradients add up in h0
-        # before one builder backward; the reference profile keeps its
-        # second builder pass (and its published float sums).
-        with self._candidate_mode("rigged"):
-            h0 = self.features()
-            shared = h0 if fused_kernels_enabled() else None
-            loss = self.adapter.train_loss(self.model, self.features,
-                                           h0=shared)
+        # Under the fused kernels the loss and the cluster head share one
+        # h0, so their gradients add up in h0 before one builder backward;
+        # the reference profile keeps its second builder pass (and its
+        # published float sums).
+        h0 = self.features()
+        shared = h0 if fused_kernels_enabled() else None
+        loss = self.adapter.train_loss(self.model, self.features, h0=shared)
         record: Dict[str, float] = {"train_loss": loss.item()}
         if self.cluster_head is not None:
             assignment = self.cluster_head(h0)
@@ -419,7 +388,7 @@ class AutoACSearcher:
             self._last_assignment = assignment.data
         loss.backward()
         self.w_optimizer.step()
-        self._invalidate_candidates()  # w changed: snapshot is stale
+        self.features.refresh_candidates()  # at the stepped w
         if not cfg.discrete:
             self.mixture.logits.zero_grad()
         self._last_h0 = h0.data
@@ -435,7 +404,6 @@ class AutoACSearcher:
         else:
             missing = self.dataset.missing_global_ids
             self.cluster_labels = self.em_assigner.update(self._last_h0[missing])
-        self._invalidate_candidates()
 
     def _validate(self, keep: bool) -> float:
         """Validation score at the post-step parameters.
@@ -443,14 +411,11 @@ class AutoACSearcher:
         With ``keep`` the pass is the next upper step's forward, kept for
         that step to backpropagate.
         """
-        # the validation pass repopulates the candidate snapshot at the
-        # post-step weights; next epoch's upper step replays it
         if keep:
             self._kept_val = self._alpha_forward()
             return -self._kept_val[0].item()
         self._set_node_weights(self._current_discrete_rows())
-        with self._candidate_mode("detached"):
-            return self.adapter.val_score(self.model, self.features)
+        return self.adapter.val_score(self.model, self.features)
 
     # ------------------------------------------------------------------
     def search(self) -> SearchResult:

@@ -17,6 +17,7 @@ from ..tensor import (
     ModuleList,
     Parameter,
     Tensor,
+    concat,
     elu,
     gather_rows,
     init,
@@ -38,9 +39,7 @@ class HetSANNLayer(Module):
             raise ValueError("out_dim must be divisible by num_heads")
         self.num_heads = num_heads
         self.head_dim = out_dim // num_heads
-        self.src, self.dst, self.etype = src, dst, etype
         self.num_nodes = num_nodes
-        self.num_edge_types = num_edge_types
         self.negative_slope = negative_slope
         self.rel_proj = ModuleList([Linear(in_dim, out_dim, bias=False)
                                     for _ in range(num_edge_types)])
@@ -51,6 +50,15 @@ class HetSANNLayer(Module):
             init.xavier_uniform((num_edge_types, num_heads, self.head_dim)),
             name="attn_dst")
         self.attn_dropout = Dropout(attn_dropout)
+        # ``(relation, src, dst)`` of every relation that has edges, in
+        # the order its messages are concatenated
+        self._relations = []
+        for rel in range(num_edge_types):
+            mask = etype == rel
+            if mask.any():
+                self._relations.append((rel, src[mask], dst[mask]))
+        self._all_dst = np.concatenate([rel_dst for _, _, rel_dst
+                                        in self._relations])
 
     def forward(self, h: Tensor) -> Tensor:
         n = self.num_nodes
@@ -58,32 +66,20 @@ class HetSANNLayer(Module):
         projected = [proj(h).reshape(n, self.num_heads, self.head_dim)
                      for proj in self.rel_proj]
         # per-edge source message under its relation's transform
-        msg = None
-        logits = None
-        for rel in range(self.num_edge_types):
-            mask = self.etype == rel
-            if not mask.any():
-                continue
-            rel_src = self.src[mask]
-            rel_dst = self.dst[mask]
+        msg, logits = [], []
+        for rel, rel_src, rel_dst in self._relations:
             h_rel = projected[rel]
             m = gather_rows(h_rel, rel_src)
             score = (m * self.attn_src[rel]).sum(axis=-1) + \
                 (gather_rows(h_rel, rel_dst) * self.attn_dst[rel]).sum(axis=-1)
-            if msg is None:
-                msg, logits = [m], [score]
-                self._order = [mask]
-            else:
-                msg.append(m)
-                logits.append(score)
-                self._order.append(mask)
-        from ..tensor import concat
+            msg.append(m)
+            logits.append(score)
         all_msg = concat(msg, axis=0)
         all_logits = leaky_relu(concat(logits, axis=0), self.negative_slope)
-        all_dst = np.concatenate([self.dst[mask] for mask in self._order])
-        alpha = self.attn_dropout(segment_softmax(all_logits, all_dst, n))
+        alpha = self.attn_dropout(segment_softmax(all_logits, self._all_dst,
+                                                  n))
         out = scatter_add(all_msg * alpha.reshape(-1, self.num_heads, 1),
-                          all_dst, n)
+                          self._all_dst, n)
         return out.reshape(n, self.num_heads * self.head_dim)
 
 

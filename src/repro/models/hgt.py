@@ -26,6 +26,7 @@ from ..tensor import (
     init,
     scatter_add,
     segment_softmax,
+    sigmoid,
 )
 from .base import BaseHGNN, edge_arrays_with_self_loops
 
@@ -94,8 +95,8 @@ class HGTLayer(Module):
                                  self.dst, n).reshape(n, -1)
         out = self._typed_projection(elu(aggregated), self.out_proj)
         # sigmoid-gated residual per node type (HGT's skip connection)
-        from ..tensor import gather_rows as t_gather, sigmoid
-        gate = t_gather(sigmoid(self.skip), self.node_type_index).reshape(-1, 1)
+        gate = gather_rows(sigmoid(self.skip),
+                           self.node_type_index).reshape(-1, 1)
         return out * gate + h * (1.0 - gate)
 
 

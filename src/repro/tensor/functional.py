@@ -200,9 +200,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
             local = sig - z
             if reduction == "mean":
                 logits.accumulate_grad(grad * local / x.size)
-            elif reduction == "sum":
-                logits.accumulate_grad(grad * local)
-            else:
+            else:  # "sum" and "none"
                 logits.accumulate_grad(grad * local)
         out._rig((logits,), backward)
     return out

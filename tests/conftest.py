@@ -16,6 +16,28 @@ def _seed_everything():
     yield
 
 
+@pytest.fixture
+def memo_lookups(monkeypatch):
+    """``record(miss=False)`` logs, from then on, whether each
+    ``ConstantProduct`` lookup hit; with ``miss`` every lookup misses.
+    A later ``record`` replaces the earlier one."""
+    from repro.completion.base import ConstantProduct
+
+    hit = ConstantProduct.hit
+
+    def record(miss: bool = False) -> list:
+        outcomes = []
+
+        def spy(memo, kept, base, params):
+            outcomes.append(not miss and hit(memo, kept, base, params))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ConstantProduct, "hit", spy)
+        return outcomes
+
+    return record
+
+
 @pytest.fixture(scope="session")
 def imdb_tiny():
     return get_dataset("imdb", scale="tiny", seed=0)

@@ -315,18 +315,23 @@ class TestUpperStepFrozenW:
         self._assert_w_restored(searcher)
 
     def test_frozen_w_leaves_the_alpha_step_bit_identical(self, imdb_tiny):
+        # both steps read the candidates the ops kept
         frozen = self._searcher(imdb_tiny)
+        frozen.features.refresh_candidates()
         frozen._upper_step_discrete()
-        # the same step with w live: its w gradients are built, then dropped
+        # the same step with w live: its w gradients are built (through
+        # the kept outputs' rigged backward too), then dropped
         live = self._searcher(imdb_tiny)
+        live.features.refresh_candidates()
         live.w_optimizer.zero_grad()
         bar_alpha = live._current_discrete_rows(requires_grad=True)
         live._set_node_weights(bar_alpha)
         live.model.eval()
         live.features.eval()
-        with live._candidate_mode("detached"):
-            loss = live.adapter.val_loss(live.model, live.features)
+        loss = live.adapter.val_loss(live.model, live.features)
         loss.backward()
+        assert all(p.grad is not None
+                   for p in live.features.projector.parameters())
         assert any(p.grad is not None for p in live._w_params)
         live.alpha.update(bar_alpha.grad, live.config.alpha_lr,
                           live.config.alpha_weight_decay)

@@ -1,5 +1,5 @@
 """The ``repro.perf`` layer: runtime profiles, fused kernels, profiler,
-and the search-loop candidate cache.
+and the completion ops' kept outputs in the search loop.
 """
 
 from __future__ import annotations
@@ -386,10 +386,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 # ----------------------------------------------------------------------
-# search-loop candidate cache
+# search-loop candidates: the completion ops' kept outputs
 # ----------------------------------------------------------------------
-#: searches whose cached and uncached runs must agree bit for bit:
-#: (dataset, backbone, runtime profile, AutoACConfig overrides)
+#: searches whose runs with and without kept op outputs must agree bit
+#: for bit: (dataset, backbone, runtime profile, AutoACConfig overrides)
 CACHE_CASES = {
     "imdb-reference": ("imdb", "simple_hgn", "reference", {}),
     "imdb-fast": ("imdb", "simple_hgn", "fast", {}),
@@ -402,10 +402,16 @@ CACHE_CASES = {
                        {"minibatch": MiniBatchConfig(batch_size=16,
                                                      fanout=4)}),
     "lastfm-link": ("lastfm", "gcn", "reference", {}),
+    "imdb-unrolled": ("imdb", "simple_hgn", "reference",
+                      {"discrete": False, "unrolled": True}),
 }
 
 
 class TestCandidateCache:
+    """The search's candidates are the completion ops' and projections'
+    kept outputs (``ConstantProduct``), reused while their parameters
+    keep their bits."""
+
     @staticmethod
     def _searcher(dataset_name="imdb", model="simple_hgn",
                   claim_score=True, **cfg_kwargs):
@@ -434,16 +440,19 @@ class TestCandidateCache:
         return AutoACSearcher(adapter, model, config, seed=0)
 
     @pytest.mark.parametrize("case", list(CACHE_CASES))
-    def test_cache_is_bitwise_identical_to_uncached(self, case):
+    def test_cache_is_bitwise_identical_to_uncached(self, case,
+                                                    memo_lookups):
+        """Reusing kept op outputs gives the search a run in which every
+        lookup misses (and so recomputes) gives."""
         dataset_name, model, profile, cfg_kwargs = CACHE_CASES[case]
         results = []
-        for cached in (False, True):
+        for miss in (True, False):
             with runtime_profile(profile):
+                outcomes = memo_lookups(miss=miss)
                 searcher = self._searcher(dataset_name, model,
                                           **cfg_kwargs)
-                assert searcher.use_candidate_cache
-                searcher.use_candidate_cache = cached
                 results.append(searcher.search())
+            assert outcomes and any(outcomes) != miss
         uncached, cached = results
         for name in ("alpha", "assignment", "cluster_labels"):
             assert np.array_equal(getattr(uncached, name),
@@ -494,40 +503,80 @@ class TestCandidateCache:
             searcher._lower_step()
         assert calls == [()] * passes
 
-    def test_cache_disabled_for_unrolled_mixture(self):
-        searcher = self._searcher(discrete=False, unrolled=True)
-        assert not searcher.use_candidate_cache
+    @staticmethod
+    def _op():
+        from repro.completion import MeanCompletion
+        from repro.datasets import get_dataset
 
-    def test_rigged_projector_respects_frozen_parameters(self):
+        return MeanCompletion(get_dataset("imdb", scale="tiny", seed=0), 8)
+
+    @staticmethod
+    def _assert_recomputed(op, kept):
+        """``op()`` misses: a new value, ``base @ W`` at the current bits."""
+        value = op().data
+        assert value is not kept
+        assert value.tobytes() == np.matmul(op._base,
+                                            op.weight.data).tobytes()
+        return value
+
+    def test_memo_hits_only_on_equal_bits(self):
+        from repro.tensor import Adam
+
+        op = self._op()
+        kept = op().data
+        assert op().data is kept
+        op.weight.data = op.weight.data.copy()  # a new array, equal bits
+        assert op().data is kept
+        # Adam writes the step into the same array
+        data = op.weight.data
+        optimizer = Adam([op.weight], lr=0.01)
+        op().sum().backward()
+        optimizer.step()
+        assert op.weight.data is data
+        kept = self._assert_recomputed(op, kept)
+        assert op().data is kept
+        op.weight.data = op.weight.data * 0.5  # the unrolled step's route
+        kept = self._assert_recomputed(op, kept)
+        op.weight.data[0, 0] = np.nan
+        kept = self._assert_recomputed(op, kept)
+        op.weight.data[0, 0] = 0.0
+        kept = self._assert_recomputed(op, kept)
+        op.weight.data[0, 0] = -0.0  # equal to 0.0, not the same bits
+        self._assert_recomputed(op, kept)
+
+    def test_memo_misses_after_restore_best(self):
+        from repro.training.early_stopping import EarlyStopping
+
+        op = self._op()
+        stopper = EarlyStopping(patience=2, modules=[op])
+        best = op().data
+        stopper.step(1.0, epoch=0)
+        op.weight.data += 1.0
+        stepped = self._assert_recomputed(op, best)
+        stopper.restore_best()
+        restored = self._assert_recomputed(op, stepped)
+        assert restored.tobytes() == best.tobytes()
+
+    def test_rigged_projector_respects_frozen_parameters(self, memo_lookups):
         from repro.completion import WeightedCompletionFeatures
         from repro.datasets import get_dataset
         from repro.tensor import Tensor
 
         dataset = get_dataset("imdb", scale="tiny", seed=0)
         features = WeightedCompletionFeatures(dataset, 8)
-        frozen = features.projector.projections[
-            dataset.attributed_types[0]].weight
-        frozen.requires_grad = False
+        linear = features.projector.projections[dataset.attributed_types[0]]
+        linear.weight.requires_grad = False
         num_missing = dataset.missing_global_ids.shape[0]
         weights = np.zeros((num_missing, len(features.space)))
         weights[:, 0] = 1.0
         features.set_weights(Tensor(weights))
         features.refresh_candidates()
-        with features.candidate_mode("rigged"):
-            features().sum().backward()
+        outcomes = memo_lookups()
+        features().sum().backward()
+        assert outcomes and all(outcomes)  # kept outputs only
         # the frozen projection weight gets no grad, matching the live path
-        assert frozen.grad is None
-        live = [p for p in features.projector.parameters()
-                if p.requires_grad]
-        assert any(p.grad is not None for p in live)
-
-    def test_snapshot_invalidated_after_search_step(self):
-        searcher = self._searcher()
-        searcher.search()
-        # search ends right after a validation pass, which repopulates
-        assert searcher.features.has_candidates()
-        searcher.features.invalidate_candidates()
-        assert not searcher.features.has_candidates()
+        assert linear.weight.grad is None
+        assert linear.bias.grad is not None
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ class TestPlaceRows:
 
 class TestBuilderPlacement:
     """``FeatureBuilder.forward`` against the chain on the same blocks,
-    on the full graph, a sampled view and the rigged candidate cache."""
+    on the full graph, a sampled view and the kept op outputs."""
 
     @staticmethod
     def _features(dataset):
@@ -139,7 +139,7 @@ class TestBuilderPlacement:
     def _chain(features, view=None):
         """The pre-placement builder: projector pieces scattered and
         summed, then the completed rows scattered and added."""
-        blocks = features._projected(view)
+        blocks = features.projector(view)
         if view is None:
             num_rows = features.dataset.graph.num_nodes
             completed = features.completed()
@@ -181,19 +181,19 @@ class TestBuilderPlacement:
             self._compare(features, view)
 
     @pytest.mark.parametrize("profile_name", ["reference", "fast"])
-    def test_rigged_cache(self, imdb_tiny, profile_name):
+    def test_rigged_cache(self, imdb_tiny, profile_name, memo_lookups):
+        ones = np.ones((imdb_tiny.graph.num_nodes, 8))
         with runtime_profile(profile_name):
             features = self._features(imdb_tiny)
-            live = _forward_backward(
-                lambda: self._chain(features),
-                features.parameters(), np.ones((imdb_tiny.graph.num_nodes, 8)))
+            memo_lookups(miss=True)
+            live = _forward_backward(lambda: self._chain(features),
+                                     features.parameters(), ones)
             features.refresh_candidates()
-            with features.candidate_mode("rigged"):
-                self._compare(features)
-                rigged = _forward_backward(
-                    features, features.parameters(),
-                    np.ones((imdb_tiny.graph.num_nodes, 8)))
-        # the rigged backward is the live one
+            outcomes = memo_lookups()
+            self._compare(features)
+            rigged = _forward_backward(features, features.parameters(), ones)
+        assert outcomes and all(outcomes)
+        # the backward rigged on kept outputs is the live one
         _assert_same_bytes(rigged, live)
 
     def test_one_node_and_no_scatter(self, imdb_tiny):
@@ -392,7 +392,7 @@ class TestOneHotPlacement:
         return total
 
     def _h0_by_mixture(self, features, view=None):
-        blocks = features._projected(view)
+        blocks = features.projector(view)
         if view is None:
             num_rows = features.dataset.graph.num_nodes
             ids, completed = (features.dataset.missing_global_ids,
@@ -462,12 +462,13 @@ class TestOneHotPlacement:
                 assert got.data.tobytes() == (want.data + 0.0).tobytes()
 
     @pytest.mark.parametrize("profile_name", ["reference", "fast"])
-    def test_rigged_cache(self, imdb_tiny, profile_name):
+    def test_rigged_cache(self, imdb_tiny, profile_name, memo_lookups):
         with runtime_profile(profile_name):
             features = self._features(imdb_tiny)
             features.refresh_candidates()
-            with features.candidate_mode("rigged"):
-                self._compare(features)
+            outcomes = memo_lookups()
+            self._compare(features)
+        assert outcomes and all(outcomes)
 
     def test_places_rows_without_mixing(self, imdb_tiny):
         with runtime_profile("fast"):
